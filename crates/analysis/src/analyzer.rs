@@ -9,7 +9,7 @@
 //! dependencies — are skipped for that run.
 
 use crate::diag::{Code, Diagnostic, Group, Severity};
-use pde_chase::{chase_tgds, null_gen_for};
+use pde_chase::{chase, null_gen_for, ChaseOptions, WitnessMode};
 use pde_constraints::{
     classify, is_weakly_acyclic, parse_dependencies_spanned, CtractViolation, Dependency,
     DependencyError, DependencyGraph, DisjunctiveTgd, Egd, Orientation, Tgd,
@@ -918,7 +918,14 @@ pub(crate) fn subsumed_by(schema: &Arc<Schema>, sub: &Tgd, by: &Tgd) -> bool {
         frozen.insert(atom.rel, Tuple::new(values));
     }
     let gen = null_gen_for(&frozen);
-    let Some(chased) = chase_tgds(frozen, std::slice::from_ref(by), &gen).into_success() else {
+    let deps = [Dependency::Tgd(by.clone())];
+    let chased = chase(
+        frozen,
+        &deps,
+        WitnessMode::FreshNulls(&gen),
+        &ChaseOptions::default(),
+    );
+    let Some(chased) = chased.into_success() else {
         return false;
     };
     let mut partial = Assignment::new();

@@ -31,6 +31,7 @@ use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::{GenericLimits, PdeSetting, SolvePlan, SolverKind};
 use pde_relational::{Position, Schema, Term, Var};
 use pde_runtime::GovernorConfig;
+use pde_trace::json_escape;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -1107,18 +1108,21 @@ impl Certificate {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"version\":{}", self.version));
-        out.push_str(&format!(",\"regime\":{}", json_str(self.regime.as_str())));
+        out.push_str(&format!(
+            ",\"regime\":{}",
+            json_escape(self.regime.as_str())
+        ));
         out.push_str(&format!(
             ",\"sol_complexity\":{}",
-            json_str(self.sol_complexity.as_str())
+            json_escape(self.sol_complexity.as_str())
         ));
         out.push_str(&format!(
             ",\"certain_complexity\":{}",
-            json_str(self.certain_complexity.as_str())
+            json_escape(self.certain_complexity.as_str())
         ));
         out.push_str(&format!(
             ",\"recommended_solver\":{}",
-            json_str(solver_kind_str(self.recommended_solver))
+            json_escape(solver_kind_str(self.recommended_solver))
         ));
         let c = &self.chase;
         out.push_str(&format!(
@@ -1139,7 +1143,7 @@ impl Certificate {
             }
             out.push_str(&format!(
                 "{{\"rel\":{},\"attr\":{},\"rank\":{}}}",
-                json_str(&r.pos.rel),
+                json_escape(&r.pos.rel),
                 r.pos.attr,
                 r.rank
             ));
@@ -1151,9 +1155,9 @@ impl Certificate {
             }
             out.push_str(&format!(
                 "{{\"from_rel\":{},\"from_attr\":{},\"to_rel\":{},\"to_attr\":{},\"special\":{}}}",
-                json_str(&e.from.rel),
+                json_escape(&e.from.rel),
                 e.from.attr,
-                json_str(&e.to.rel),
+                json_escape(&e.to.rel),
                 e.to.attr,
                 e.special
             ));
@@ -1174,7 +1178,7 @@ impl Certificate {
             }
             out.push_str(&format!(
                 "{{\"rel\":{},\"attr\":{}}}",
-                json_str(&p.rel),
+                json_escape(&p.rel),
                 p.attr
             ));
         }
@@ -1188,7 +1192,7 @@ impl Certificate {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_str(v));
+                out.push_str(&json_escape(v));
             }
             out.push(']');
         }
@@ -1196,14 +1200,14 @@ impl Certificate {
         if let Some(cx) = &t.counterexample {
             out.push_str(&format!(
                 ",\"counterexample\":{{\"kind\":{},\"tgd_index\":{},\"vars\":[",
-                json_str(&cx.kind),
+                json_escape(&cx.kind),
                 cx.tgd_index
             ));
             for (j, v) in cx.vars.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&json_str(v));
+                out.push_str(&json_escape(v));
             }
             out.push_str("]}");
         }
@@ -1357,25 +1361,6 @@ impl Certificate {
             budgets,
         })
     }
-}
-
-/// JSON string literal with escaping (same rules as the lint renderer).
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Minimal JSON reader: just enough to load certificates back. The

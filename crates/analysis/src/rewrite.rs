@@ -30,12 +30,13 @@
 //! certificate records that set and the verifier recomputes it.
 
 use crate::analyzer::subsumed_by;
-use crate::certificate::{json, json_str};
+use crate::certificate::json;
 use pde_constraints::{Dependency, Egd, Tgd};
 use pde_core::setting::PdeSetting;
 use pde_relational::{
     for_each_hom_with, Assignment, HomConfig, Instance, RelId, Schema, Term, Tuple, Value, Var,
 };
+use pde_trace::json_escape;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -625,7 +626,7 @@ impl RewriteCertificate {
     /// Serialize to the certificate JSON format (stable field order).
     pub fn to_json(&self) -> String {
         let names = |xs: &[String]| {
-            let inner: Vec<String> = xs.iter().map(|s| json_str(s)).collect();
+            let inner: Vec<String> = xs.iter().map(|s| json_escape(s)).collect();
             format!("[{}]", inner.join(","))
         };
         let counts = |c: &GroupCounts| {
@@ -640,8 +641,8 @@ impl RewriteCertificate {
             .map(|a| {
                 let head = format!(
                     "{{\"action\":{},\"group\":{},\"index\":{}",
-                    json_str(a.kind()),
-                    json_str(a.group().as_str()),
+                    json_escape(a.kind()),
+                    json_escape(a.group().as_str()),
                     a.index()
                 );
                 match a {
@@ -651,7 +652,7 @@ impl RewriteCertificate {
                     }
                     RewriteAction::RemoveSubsumed { by, .. } => format!("{head},\"by\":{by}}}"),
                     RewriteAction::RemoveDead { relation, .. } => {
-                        format!("{head},\"relation\":{}}}", json_str(relation))
+                        format!("{head},\"relation\":{}}}", json_escape(relation))
                     }
                 }
             })

@@ -32,10 +32,11 @@
 //! trail, validates the witness against the recomputed graph or chase
 //! log, and re-derives every bound. See `docs/TERMINATION.md`.
 
-use crate::certificate::{bound_params, evaluate_bound, forward_tgds, json_str, CertificateError};
+use crate::certificate::{bound_params, evaluate_bound, forward_tgds, CertificateError};
 use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::PdeSetting;
 use pde_relational::{Position, RelId, Schema, Term, Var};
+use pde_trace::json_escape;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -910,7 +911,7 @@ impl TerminationCertificate {
         out.push_str(&format!("\"v\":{}", self.version));
         out.push_str(&format!(",\"adom_size\":{}", self.adom_size));
         match self.criterion {
-            Some(c) => out.push_str(&format!(",\"criterion\":{}", json_str(c.as_str()))),
+            Some(c) => out.push_str(&format!(",\"criterion\":{}", json_escape(c.as_str()))),
             None => out.push_str(",\"criterion\":null"),
         }
         out.push_str(",\"trail\":[");
@@ -920,7 +921,7 @@ impl TerminationCertificate {
             }
             out.push_str(&format!(
                 "{{\"criterion\":{},\"holds\":{}}}",
-                json_str(c.criterion.as_str()),
+                json_escape(c.criterion.as_str()),
                 c.holds
             ));
         }
@@ -942,7 +943,7 @@ impl TerminationCertificate {
                     out.push_str(&format!(
                         "{{\"tgd\":{},\"var\":{}}}",
                         v.tgd_index,
-                        json_str(&v.var)
+                        json_escape(&v.var)
                     ));
                 }
                 out.push_str("]}");

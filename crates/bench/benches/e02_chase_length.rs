@@ -8,7 +8,7 @@
 //! standard chase (its witnesses never create new triggers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pde_chase::{chase, chase_tgds, solution_aware_chase, ChaseLimits};
+use pde_chase::{chase, ChaseLimits, ChaseOptions, ChaseOutcome, WitnessMode};
 use pde_constraints::{parse_dependencies, Dependency};
 use pde_relational::{parse_instance, parse_schema, Instance, NullGen};
 use std::sync::Arc;
@@ -44,16 +44,19 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("standard_chase", n), &inst, |b, inst| {
             b.iter(|| {
                 let gen = NullGen::new();
-                chase(inst.clone(), &d, &gen).steps
+                let mode = WitnessMode::FreshNulls(&gen);
+                chase(inst.clone(), &d, mode, &ChaseOptions::default()).steps
             });
         });
         let gen = NullGen::new();
-        let res = chase(inst.clone(), &d, &gen);
+        let mode = WitnessMode::FreshNulls(&gen);
+        let res = chase(inst.clone(), &d, mode, &ChaseOptions::default());
         assert!(res.is_success());
         // Solution-aware chase against the standard result (which contains
         // the input and satisfies the tgds).
         let sol = res.instance.clone();
-        let aware = solution_aware_chase(inst.clone(), &d, &sol, ChaseLimits::default());
+        let mode = WitnessMode::FromSolution(&sol);
+        let aware = chase(inst.clone(), &d, mode, &ChaseOptions::default());
         assert!(aware.is_success());
         rows.push((n, res.steps, aware.steps));
     }
@@ -69,20 +72,16 @@ fn bench(c: &mut Criterion) {
     let cyc = parse_dependencies(&s, "A(x, y) -> exists z . A(y, z)").unwrap();
     let inst = instance(&s, 4);
     let gen = NullGen::new();
-    let res = pde_chase::chase_with(
-        inst,
-        &cyc,
-        pde_chase::WitnessMode::FreshNulls(&gen),
-        ChaseLimits::tight(1000),
-    );
-    assert_eq!(res.outcome, pde_chase::ChaseOutcome::ResourceExceeded);
+    let opts = ChaseOptions {
+        limits: ChaseLimits::tight(1000),
+        ..ChaseOptions::default()
+    };
+    let res = chase(inst, &cyc, WitnessMode::FreshNulls(&gen), &opts);
+    assert_eq!(res.outcome, ChaseOutcome::ResourceExceeded);
     eprintln!(
         "E2 (contrast): non-weakly-acyclic set hit the {}-step guard as expected",
         1000
     );
-
-    // Keep chase_tgds linked into the harness for API parity.
-    let _ = chase_tgds;
 }
 
 // Criterion's macros expand to undocumented items.

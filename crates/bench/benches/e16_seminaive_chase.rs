@@ -38,13 +38,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pde_analysis::{forward_schedule, optimize_setting};
-use pde_chase::{
-    chase_governed_scheduled, chase_governed_with, chase_naive_with, chase_seminaive_with,
-    ChaseEngine, ChaseLimits, ChaseResult, DepSchedule, WitnessMode,
-};
+use pde_chase::oracle::chase_naive;
+use pde_chase::{chase, ChaseOptions, ChaseResult, DepSchedule, WitnessMode};
 use pde_constraints::Dependency;
 use pde_core::{Bundle, PdeSetting};
-use pde_relational::{Instance, NullGen, Relation, Tuple, Value};
+use pde_relational::{Instance, NullGen};
 use pde_runtime::{Governor, GovernorConfig};
 use pde_workloads::boundary::{egd_boundary_instance, egd_boundary_setting};
 use pde_workloads::genomics::{genomics_instance, genomics_setting, GenomicsParams};
@@ -68,9 +66,9 @@ fn forward_deps(setting: &PdeSetting) -> Vec<Dependency> {
 
 fn run(engine: &str, input: &Instance, deps: &[Dependency]) -> ChaseResult {
     let gen = NullGen::new();
-    let limits = ChaseLimits::default();
+    let mode = WitnessMode::FreshNulls(&gen);
     match engine {
-        "naive" => chase_naive_with(input.clone(), deps, WitnessMode::FreshNulls(&gen), limits),
+        "naive" => chase_naive(input.clone(), deps, mode, &ChaseOptions::default()),
         "governed" => {
             // Generous budgets that never bind, so only the check/accounting
             // overhead is measured.
@@ -79,16 +77,13 @@ fn run(engine: &str, input: &Instance, deps: &[Dependency]) -> ChaseResult {
                 memory_budget_bytes: Some(1 << 30),
                 cancel: None,
             });
-            chase_governed_with(
-                input.clone(),
-                deps,
-                WitnessMode::FreshNulls(&gen),
-                limits,
-                ChaseEngine::Seminaive,
-                &governor,
-            )
+            let opts = ChaseOptions {
+                governor: Some(&governor),
+                ..ChaseOptions::default()
+            };
+            chase(input.clone(), deps, mode, &opts)
         }
-        _ => chase_seminaive_with(input.clone(), deps, WitnessMode::FreshNulls(&gen), limits),
+        _ => chase(input.clone(), deps, mode, &ChaseOptions::default()),
     }
 }
 
@@ -134,15 +129,11 @@ fn run_scheduled(
     schedule: Option<&DepSchedule>,
 ) -> ChaseResult {
     let gen = NullGen::new();
-    chase_governed_scheduled(
-        input.clone(),
-        deps,
-        WitnessMode::FreshNulls(&gen),
-        ChaseLimits::default(),
-        ChaseEngine::Seminaive,
-        &Governor::unlimited(),
+    let opts = ChaseOptions {
         schedule,
-    )
+        ..ChaseOptions::default()
+    };
+    chase(input.clone(), deps, WitnessMode::FreshNulls(&gen), &opts)
 }
 
 /// The E17 arms for one workload: chase the padded setting as written,
@@ -211,198 +202,6 @@ fn e17_arms(
             opt.certificate.actions.len(),
             opt.certificate.before.total(),
             opt_schedule.strata_count()
-        ),
-    ));
-}
-
-/// Row-oriented replica of the pre-columnar `Relation`: `Arc<[Value]>`
-/// rows, a `HashMap` membership set, and `HashMap<Value, Vec<u32>>`
-/// per-attribute indexes. E18's baseline arm — kept here so the storage
-/// comparison survives the production crate's move to columnar layout.
-struct RowRelation {
-    arity: u16,
-    rows: Vec<Tuple>,
-    live: Vec<bool>,
-    epochs: Vec<u64>,
-    set: HashMap<Tuple, u32>,
-    index: Vec<HashMap<Value, Vec<u32>>>,
-}
-
-impl RowRelation {
-    fn new(arity: u16) -> RowRelation {
-        RowRelation {
-            arity,
-            rows: Vec::new(),
-            live: Vec::new(),
-            epochs: Vec::new(),
-            set: HashMap::new(),
-            index: (0..arity).map(|_| HashMap::new()).collect(),
-        }
-    }
-
-    fn insert(&mut self, t: Tuple) -> bool {
-        if self.set.contains_key(&t) {
-            return false;
-        }
-        let r = u32::try_from(self.rows.len()).expect("row id overflow");
-        for (i, v) in t.values().iter().enumerate() {
-            self.index[i].entry(*v).or_default().push(r);
-        }
-        self.set.insert(t.clone(), r);
-        self.rows.push(t);
-        self.live.push(true);
-        self.epochs.push(0);
-        true
-    }
-
-    fn count_with(&self, attr: u16, v: Value) -> usize {
-        self.index[attr as usize].get(&v).map_or(0, Vec::len)
-    }
-
-    /// Honest heap accounting of this layout, mirroring the cost model the
-    /// old `Relation::approx_heap_bytes` used: row slots (fat pointers),
-    /// per-row `Arc` allocations (header + values), epoch/liveness arrays,
-    /// membership-set entries, and index entries plus posting storage.
-    fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let arc_alloc = 2 * size_of::<usize>() + self.arity as usize * size_of::<Value>();
-        let mut bytes = self.rows.capacity() * size_of::<Tuple>()
-            + self.rows.len() * arc_alloc
-            + self.epochs.capacity() * size_of::<u64>()
-            + self.live.capacity()
-            + self.set.capacity() * (size_of::<(Tuple, u32)>() + 1)
-            + self.set.len() * arc_alloc;
-        for idx in &self.index {
-            bytes += idx.capacity() * (size_of::<(Value, Vec<u32>)>() + 1);
-            bytes += idx
-                .values()
-                .map(|p| p.capacity() * size_of::<u32>())
-                .sum::<usize>();
-        }
-        bytes
-    }
-}
-
-/// The E18 arms for one workload: build the chased instance's fact set
-/// into the row-store baseline and the production columnar store, probe
-/// every (attribute, value) pair through both indexes, and compare
-/// measured bytes per fact.
-fn e18_arms(
-    c: &mut Criterion,
-    label: &str,
-    instance: &Instance,
-    measurements: &mut Vec<(String, f64)>,
-    rows: &mut Vec<(String, String, String)>,
-) {
-    // Flatten the chased instance into per-relation fact lists.
-    let schema = instance.schema().clone();
-    let mut facts: Vec<(u16, Vec<Tuple>)> = schema
-        .rel_ids()
-        .map(|r| (schema.arity(r), Vec::new()))
-        .collect();
-    for (rel, t) in instance.facts() {
-        facts[rel.index()].1.push(t);
-    }
-    let fact_count: usize = facts.iter().map(|(_, ts)| ts.len()).sum();
-
-    let build_row = |facts: &[(u16, Vec<Tuple>)]| -> Vec<RowRelation> {
-        facts
-            .iter()
-            .map(|(arity, ts)| {
-                let mut r = RowRelation::new(*arity);
-                for t in ts {
-                    r.insert(t.clone());
-                }
-                r
-            })
-            .collect()
-    };
-    let build_columnar = |facts: &[(u16, Vec<Tuple>)]| -> Vec<Relation> {
-        facts
-            .iter()
-            .map(|(arity, ts)| {
-                let mut r = Relation::new(*arity);
-                for t in ts {
-                    r.insert(t.clone());
-                }
-                r
-            })
-            .collect()
-    };
-
-    let mut grp = c.benchmark_group(format!("e18_storage/{label}"));
-    grp.sample_size(10);
-    grp.bench_function("row_build", |b| b.iter(|| build_row(&facts)));
-    grp.bench_function("columnar_build", |b| b.iter(|| build_columnar(&facts)));
-
-    // Probe workload: every (attribute, value) occurrence in the fact set,
-    // counted through the store's index — the access pattern of trigger
-    // matching's anchor-selectivity estimation.
-    let row_store = build_row(&facts);
-    let col_store = build_columnar(&facts);
-    let probe_row = |store: &[RowRelation]| -> usize {
-        let mut hits = 0usize;
-        for (rel, (_, ts)) in store.iter().zip(&facts) {
-            for t in ts {
-                for (i, v) in t.values().iter().enumerate() {
-                    hits += rel.count_with(u16::try_from(i).unwrap(), *v);
-                }
-            }
-        }
-        hits
-    };
-    let probe_columnar = |store: &[Relation]| -> usize {
-        let mut hits = 0usize;
-        for (rel, (_, ts)) in store.iter().zip(&facts) {
-            for t in ts {
-                for (i, v) in t.values().iter().enumerate() {
-                    hits += rel.count_with(u16::try_from(i).unwrap(), *v);
-                }
-            }
-        }
-        hits
-    };
-    assert_eq!(probe_row(&row_store), probe_columnar(&col_store));
-    grp.bench_function("row_probe", |b| b.iter(|| probe_row(&row_store)));
-    grp.bench_function("columnar_probe", |b| b.iter(|| probe_columnar(&col_store)));
-    grp.finish();
-
-    let row_build_ms = pde_bench::time_ms(|| {
-        let _ = build_row(&facts);
-    });
-    let col_build_ms = pde_bench::time_ms(|| {
-        let _ = build_columnar(&facts);
-    });
-    let row_probe_ms = pde_bench::time_ms(|| {
-        let _ = probe_row(&row_store);
-    });
-    let col_probe_ms = pde_bench::time_ms(|| {
-        let _ = probe_columnar(&col_store);
-    });
-    let row_bytes = row_store.iter().map(RowRelation::heap_bytes).sum::<usize>();
-    let col_bytes = col_store.iter().map(Relation::heap_bytes).sum::<usize>();
-    let row_bpf = row_bytes as f64 / fact_count as f64;
-    let col_bpf = col_bytes as f64 / fact_count as f64;
-
-    let key = format!("e18_{label}");
-    measurements.push((format!("{key}.facts"), fact_count as f64));
-    measurements.push((format!("{key}.row_build_ms"), row_build_ms));
-    measurements.push((format!("{key}.columnar_build_ms"), col_build_ms));
-    measurements.push((format!("{key}.row_probe_ms"), row_probe_ms));
-    measurements.push((format!("{key}.columnar_probe_ms"), col_probe_ms));
-    measurements.push((format!("{key}.row_bytes_per_fact"), row_bpf));
-    measurements.push((format!("{key}.columnar_bytes_per_fact"), col_bpf));
-    rows.push((
-        format!("E18 {label}"),
-        format!(
-            "build {row_build_ms:.2} / {col_build_ms:.2} ({:.1}x), \
-             probe {row_probe_ms:.2} / {col_probe_ms:.2} ({:.1}x)",
-            row_build_ms / col_build_ms,
-            row_probe_ms / col_probe_ms
-        ),
-        format!(
-            "{fact_count} facts, {row_bpf:.0} -> {col_bpf:.0} B/fact ({:.1}x)",
-            row_bpf / col_bpf
         ),
     ));
 }
@@ -768,57 +567,12 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // E18: columnar vs row-oriented storage, measured on the chased fact
-    // sets of the E16 workloads (plus the CLIQUE reduction's dense
-    // instance) — build, index probe, and bytes per fact.
-    let setting = pde_workloads::clique::clique_setting();
-    let deps = forward_deps(&setting);
-    let input = pde_workloads::clique::clique_instance(&setting, &Graph::complete(12), 6);
-    let chased = run("seminaive", &input, &deps);
-    assert!(chased.is_success());
-    e18_arms(c, "clique", &chased.instance, &mut measurements, &mut rows);
-
-    let setting = egd_boundary_setting();
-    let deps = forward_deps(&setting);
-    let input = egd_boundary_instance(&setting, &Graph::complete(3), 18);
-    let chased = run("seminaive", &input, &deps);
-    assert!(chased.is_success());
-    e18_arms(
-        c,
-        "boundary",
-        &chased.instance,
-        &mut measurements,
-        &mut rows,
-    );
-
-    let setting = genomics_setting();
-    let deps = forward_deps(&setting);
-    let params = GenomicsParams {
-        proteins: 800,
-        annotations_per_protein: 3,
-        organisms: 10,
-        go_terms: 200,
-        preloaded: 80,
-        rogue: 0,
-        seed: 99,
-    };
-    let input = genomics_instance(&setting, &params);
-    let chased = run("seminaive", &input, &deps);
-    assert!(chased.is_success());
-    e18_arms(
-        c,
-        "genomics",
-        &chased.instance,
-        &mut measurements,
-        &mut rows,
-    );
-
     // E19: end-to-end serve-loop request latency over the in-memory pipe.
     e19_arms(c, &mut measurements, &mut metrics, &mut rows);
 
     pde_bench::print_series3(
-        "E16/E17/E18/E19: chase engines, the optimizer, columnar storage, \
-         and serve latency — before / after ms (speedup)",
+        "E16/E17/E19: chase engines, the optimizer, and serve latency — \
+         before / after ms (speedup)",
         ("workload", "times (ms)", "stats"),
         &rows,
     );

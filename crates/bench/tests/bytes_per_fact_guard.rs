@@ -1,17 +1,17 @@
 //! The governor's derived memory budgets plan against
 //! `pde_relational::BYTES_PER_FACT_BUDGET`, which claims to be a
 //! cross-workload upper bound on the columnar storage's measured bytes
-//! per fact. This guard chases the E16/E18 workloads and fails if any
-//! chased instance's measured figure exceeds the budget — i.e. if a
-//! storage change silently regresses memory density past what the plan
-//! certificates promise.
+//! per fact. This guard chases the CLIQUE-reduction, egd-boundary and
+//! genomics workloads and fails if any chased instance's measured
+//! figure exceeds the budget — i.e. if a storage change silently
+//! regresses memory density past what the plan certificates promise.
 //!
 //! Unlike the timing guard next door this one is deterministic, but it
 //! chases real workloads, so it is `#[ignore]`d for the regular suite and
 //! run explicitly (release mode) by the CI `bench-guard` job:
 //! `cargo test -p pde-bench --release bytes_per_fact -- --ignored`.
 
-use pde_chase::{chase_seminaive_with, ChaseLimits, WitnessMode};
+use pde_chase::{chase, ChaseOptions, WitnessMode};
 use pde_constraints::Dependency;
 use pde_core::PdeSetting;
 use pde_relational::{Instance, NullGen, BYTES_PER_FACT_BUDGET};
@@ -32,11 +32,11 @@ fn forward_deps(setting: &PdeSetting) -> Vec<Dependency> {
 
 fn chased(setting: &PdeSetting, input: Instance) -> Instance {
     let gen = NullGen::new();
-    let res = chase_seminaive_with(
+    let res = chase(
         input,
         &forward_deps(setting),
         WitnessMode::FreshNulls(&gen),
-        ChaseLimits::default(),
+        &ChaseOptions::default(),
     );
     assert!(res.is_success());
     res.instance

@@ -1,10 +1,11 @@
-//! The chase engines: standard chase and the solution-aware chase of the
-//! paper (Definitions 6–7), each available in two implementations.
+//! The chase: the standard chase and the solution-aware chase of the
+//! paper (Definitions 6–7), reached through one entry point, [`chase`].
 //!
-//! Both share the restricted-chase semantics: repeatedly find an *active
-//! trigger* — a premise homomorphism with no conclusion extension (tgd), or
-//! one separating the equated variables (egd) — and apply the corresponding
-//! step. Where a tgd step's existential witnesses come from is orthogonal:
+//! The chase follows restricted-chase semantics: repeatedly find an
+//! *active trigger* — a premise homomorphism with no conclusion extension
+//! (tgd), or one separating the equated variables (egd) — and apply the
+//! corresponding step. Where a tgd step's existential witnesses come from
+//! is orthogonal:
 //!
 //! * **standard** ([`WitnessMode::FreshNulls`]): mint a fresh labeled null
 //!   per existential variable — the \[FKMP\] chase; results are universal.
@@ -13,36 +14,27 @@
 //!   satisfies the tgds (paper Def. 6). The chase then stays inside `K'`,
 //!   which is how Lemma 2 extracts a polynomial-size sub-solution.
 //!
-//! Two engines implement the loop (see `docs/CHASE.md` for the full
-//! design):
+//! The loop is semi-naive (see `docs/CHASE.md` for the full design): rows
+//! carry insertion epochs; each round only enumerates premise
+//! homomorphisms touching the previous round's delta
+//! ([`pde_relational::for_each_hom_seminaive`]), feeding a per-dependency
+//! trigger worklist. The seed round fires everything once. Egd violations
+//! of a round are batched in a [`pde_relational::ValueUnionFind`] and
+//! applied as one targeted rewrite per round.
 //!
-//! * [`ChaseEngine::Seminaive`] (the default behind [`chase_with`]): rows
-//!   carry insertion epochs; each round only enumerates premise
-//!   homomorphisms touching the previous round's delta
-//!   ([`pde_relational::for_each_hom_seminaive`]), feeding a per-dependency
-//!   trigger worklist. The seed round fires everything once. Egd
-//!   violations of a round are batched in a
-//!   [`pde_relational::ValueUnionFind`] and applied as one targeted
-//!   rewrite per round.
-//! * [`ChaseEngine::Naive`] ([`chase_naive_with`]): re-enumerates every
-//!   trigger over the entire instance each round and rewrites the instance
-//!   once per egd merge. Kept as the differential-testing oracle and as the
-//!   `--chase naive` CLI escape hatch.
-//!
-//! Both produce the same `StepRecord` provenance shape, respect the same
-//! [`ChaseLimits`] semantics, and agree up to null renaming (enforced by
-//! the `naive_and_seminaive_chase_agree` property test).
+//! The naive engine in [`crate::oracle`] re-enumerates every trigger each
+//! round behind the same signature; it is the differential-testing oracle,
+//! and the `naive_and_seminaive_chase_agree` property test holds the two
+//! to the same results up to null renaming.
 
 use crate::result::{ChaseLimits, ChaseOutcome, ChaseResult, ChaseStats, StepRecord};
-use crate::satisfy;
-use pde_constraints::{Dependency, Egd, Tgd};
+use pde_constraints::{Dependency, Tgd};
 use pde_relational::{
-    exists_hom, find_hom, for_each_hom, for_each_hom_seminaive, Assignment, HomConfig, Instance,
-    NullGen, Tuple, Value, ValueUnionFind,
+    exists_hom, find_hom, for_each_hom_seminaive, Assignment, HomConfig, Instance, NullGen, Tuple,
+    Value, ValueUnionFind,
 };
-use pde_runtime::{Governor, StopReason};
+use pde_runtime::Governor;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
 /// Where tgd steps obtain witnesses for existential variables.
@@ -53,17 +45,6 @@ pub enum WitnessMode<'a> {
     /// Draw witnesses from a given instance that contains the chased
     /// instance and satisfies the tgds (solution-aware chase, Def. 6).
     FromSolution(&'a Instance),
-}
-
-/// Which implementation the [`chase_with`] entry point dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaseEngine {
-    /// Re-enumerate every trigger over the full instance each round;
-    /// rewrite the whole instance per egd merge.
-    Naive,
-    /// Delta-driven trigger discovery over insertion epochs with
-    /// union-find egd batching (the default).
-    Seminaive,
 }
 
 /// A stratified execution order over a dependency list, as produced by
@@ -111,200 +92,105 @@ impl DepSchedule {
     }
 }
 
-const ENGINE_NAIVE: u8 = 0;
-const ENGINE_SEMINAIVE: u8 = 1;
-
-/// Process-wide default engine; the CLI's `--chase naive|seminaive` flag
-/// sets it once at startup.
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENGINE_SEMINAIVE);
-
-/// Set the engine that [`chase_with`] (and everything built on it:
-/// [`chase`], [`chase_tgds`], [`solution_aware_chase`], the solvers in
-/// `pde-core`) will use from now on.
-pub fn set_default_chase_engine(engine: ChaseEngine) {
-    let v = match engine {
-        ChaseEngine::Naive => ENGINE_NAIVE,
-        ChaseEngine::Seminaive => ENGINE_SEMINAIVE,
-    };
-    DEFAULT_ENGINE.store(v, Ordering::Relaxed);
+/// How a [`chase`] run is bounded and ordered. `ChaseOptions::default()`
+/// is a full, unscheduled chase under [`ChaseLimits::default`] with no
+/// runtime governor.
+#[derive(Clone, Copy, Default)]
+pub struct ChaseOptions<'a> {
+    /// Step and fact caps.
+    pub limits: ChaseLimits,
+    /// Runtime governor, consulted at every round (deadline / memory
+    /// budget / cancellation) and at every tgd application
+    /// (fault-injection points). `None` runs unlimited.
+    pub governor: Option<&'a Governor>,
+    /// Stratified execution order; `None` runs every dependency in one
+    /// stratum. A schedule must partition the indices of `deps`.
+    pub schedule: Option<&'a DepSchedule>,
+    /// Epoch watermark the first delta window opens at. `0` is the full
+    /// chase. A non-zero watermark asserts that the facts older than it
+    /// already satisfy **every** dependency (they are the fixpoint of a
+    /// previous chase); see [`chase`].
+    pub since: u64,
 }
 
-/// The engine [`chase_with`] currently dispatches to.
-pub fn default_chase_engine() -> ChaseEngine {
-    match DEFAULT_ENGINE.load(Ordering::Relaxed) {
-        ENGINE_NAIVE => ChaseEngine::Naive,
-        _ => ChaseEngine::Seminaive,
-    }
-}
-
-/// Chase `instance` with `deps` under the given witness mode and limits,
-/// using the process-default engine (semi-naive unless overridden through
-/// [`set_default_chase_engine`]).
-pub fn chase_with(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-) -> ChaseResult {
-    chase_governed_with(
-        instance,
-        deps,
-        mode,
-        limits,
-        default_chase_engine(),
-        &Governor::unlimited(),
-    )
-}
-
-/// Chase under an explicit engine and runtime [`Governor`].
-///
-/// The governor is consulted at every round (deadline / memory budget /
-/// cancellation) and at every tgd application (fault-injection points);
-/// a tripped budget ends the run with [`ChaseOutcome::Stopped`] carrying
-/// the [`StopReason`]. The input `instance` is consumed — a stopped
-/// result's `instance` field is a best-effort snapshot, and callers that
-/// must not observe partial work simply keep their own copy (the solvers
-/// pass clones).
-pub fn chase_governed_with(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    engine: ChaseEngine,
-    governor: &Governor,
-) -> ChaseResult {
-    chase_governed_scheduled(instance, deps, mode, limits, engine, governor, None)
-    // Governor-derived numbers (peak bytes, cancellations, deadline
-    // remaining) are no longer copied into `ChaseStats`: they live in the
-    // report layer (`Governor::report` / the run-report metrics registry),
-    // which cannot double-count when several chases share one governor.
-}
-
-/// [`chase_governed_with`] with an optional stratified execution
-/// [`DepSchedule`]. Only the semi-naive engine consumes the schedule; the
-/// naive engine is the differential-testing oracle and deliberately runs
-/// unscheduled (its full re-enumeration reaches the same fixpoint either
-/// way). `None` behaves exactly like the unscheduled entry points.
-pub fn chase_governed_scheduled(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    engine: ChaseEngine,
-    governor: &Governor,
-    schedule: Option<&DepSchedule>,
-) -> ChaseResult {
-    match engine {
-        ChaseEngine::Naive => chase_naive_governed(instance, deps, mode, limits, governor),
-        ChaseEngine::Seminaive => {
-            chase_seminaive_scheduled_governed(instance, deps, mode, limits, governor, schedule)
+impl ChaseOptions<'_> {
+    /// Run `f` under the configured governor, or an unlimited one.
+    pub(crate) fn with_governor<R>(&self, f: impl FnOnce(&Governor) -> R) -> R {
+        match self.governor {
+            Some(g) => f(g),
+            None => f(&Governor::unlimited()),
         }
     }
 }
 
-/// The semi-naive, delta-driven chase.
+/// Chase `instance` with `deps` under the given witness mode and options.
 ///
 /// Each round opens a new insertion epoch; trigger discovery for round *k*
 /// only enumerates premise homomorphisms with at least one atom matched
 /// against a fact inserted in round *k−1* (the seed round's "delta" is the
 /// whole input, so every trigger fires once). Discovered triggers join a
 /// per-dependency worklist and are re-validated against the full instance
-/// before application, exactly like the naive engine's batch round. Egd
-/// violations are accumulated in a union-find and applied as a single
-/// targeted rewrite per dependency per round; rewritten facts re-enter the
-/// next round's delta.
-pub fn chase_seminaive_with(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-) -> ChaseResult {
-    chase_seminaive_scheduled_governed(instance, deps, mode, limits, &Governor::unlimited(), None)
-}
-
-/// [`chase_seminaive_with`] under an explicit [`Governor`] (the
-/// [`chase_governed_with`] worker; callers normally go through that
-/// entry point).
-fn chase_seminaive_scheduled_governed(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    governor: &Governor,
-    schedule: Option<&DepSchedule>,
-) -> ChaseResult {
-    chase_seminaive_incremental(instance, deps, mode, limits, governor, schedule, 0)
-}
-
-/// Semi-naive chase that resumes from an epoch watermark instead of the
-/// seed round.
+/// before application. Egd violations are accumulated in a union-find and
+/// applied as a single targeted rewrite per dependency per round;
+/// rewritten facts re-enter the next round's delta.
 ///
-/// `initial_since` is the epoch the first delta window opens at: trigger
-/// discovery only enumerates premise homomorphisms touching at least one
-/// fact inserted at or after it. `0` is the ordinary full chase.
+/// A tripped governor budget ends the run with [`ChaseOutcome::Stopped`]
+/// carrying the [`pde_runtime::StopReason`]. The input `instance` is
+/// consumed — a stopped result's `instance` field is a best-effort
+/// snapshot, and callers that must not observe partial work keep their
+/// own copy (the solvers pass clones).
 ///
-/// # Precondition
-/// A non-zero watermark asserts that the sub-instance of facts older than
-/// `initial_since` already satisfies **every** dependency in `deps` (it is
-/// the fixpoint of a previous chase). Under that precondition the skipped
-/// all-old triggers are exactly the already-satisfied ones, so the
-/// incremental run reaches the same fixpoint as a fresh chase of the whole
-/// instance — this is what `pde serve` relies on to re-chase inserts off
-/// epoch deltas instead of from scratch. Violating the precondition
-/// (e.g. after a retraction, which can *un*-satisfy old triggers'
-/// conclusions) silently under-chases: retracts must fall back to a full
-/// re-chase.
-///
-/// With [`WitnessMode::FreshNulls`], pass a generator seeded above the
+/// # Incremental chase
+/// With `opts.since > 0`, trigger discovery only enumerates premise
+/// homomorphisms touching at least one fact inserted at or after that
+/// epoch. This asserts that the sub-instance of older facts already
+/// satisfies every dependency in `deps` (it is the fixpoint of a previous
+/// chase). Under that precondition the skipped all-old triggers are
+/// exactly the already-satisfied ones, so the run reaches the same
+/// fixpoint as a fresh chase of the whole instance — this is what
+/// `pde serve` relies on to re-chase inserts off epoch deltas instead of
+/// from scratch. Violating the precondition (e.g. after a retraction,
+/// which can *un*-satisfy old triggers' conclusions) silently
+/// under-chases: retracts must fall back to a full re-chase. With
+/// [`WitnessMode::FreshNulls`], pass a generator seeded above the
 /// instance's existing nulls ([`null_gen_for`]) or witnesses may collide
 /// with recovered ones.
-pub fn chase_incremental_governed(
+///
+/// # Panics
+/// When `opts.schedule` does not partition the indices of `deps` (each
+/// stratum opens at the same watermark, so a skipped or repeated
+/// dependency would silently under- or re-chase), and (solution-aware
+/// mode) when the supplied solution does not satisfy a tgd it is asked
+/// to witness.
+pub fn chase(
     instance: Instance,
     deps: &[Dependency],
     mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    governor: &Governor,
-    schedule: Option<&DepSchedule>,
-    initial_since: u64,
+    opts: &ChaseOptions<'_>,
 ) -> ChaseResult {
-    if let Some(s) = schedule {
-        // An incremental window is only sound on top of a full-deps
-        // fixpoint; a schedule still partitions the same deps, so each
-        // stratum may open at the watermark too.
+    if let Some(s) = opts.schedule {
         assert!(
             s.is_partition_of(deps.len()),
             "schedule must partition the dependency indices 0..{}",
             deps.len()
         );
     }
-    chase_seminaive_incremental(
-        instance,
-        deps,
-        mode,
-        limits,
-        governor,
-        schedule,
-        initial_since,
-    )
+    opts.with_governor(|governor| seminaive(instance, deps, mode, opts, governor))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn chase_seminaive_incremental(
+fn seminaive(
     mut instance: Instance,
     deps: &[Dependency],
     mode: WitnessMode<'_>,
-    limits: ChaseLimits,
+    opts: &ChaseOptions<'_>,
     governor: &Governor,
-    schedule: Option<&DepSchedule>,
-    initial_since: u64,
 ) -> ChaseResult {
-    if let Some(s) = schedule {
-        assert!(
-            s.is_partition_of(deps.len()),
-            "schedule must partition the dependency indices 0..{}",
-            deps.len()
-        );
-    }
+    let ChaseOptions {
+        limits,
+        schedule,
+        since: initial_since,
+        ..
+    } = *opts;
     let single;
     let strata: &[Vec<usize>] = match schedule {
         Some(s) => &s.strata,
@@ -533,223 +419,8 @@ fn chase_seminaive_incremental(
     }
 }
 
-/// The naive chase: every round re-enumerates every premise homomorphism
-/// over the entire instance, and each egd merge rewrites the instance
-/// immediately. Retained as the differential-testing oracle for
-/// [`chase_seminaive_with`] and as the CLI's `--chase naive` escape hatch.
-pub fn chase_naive_with(
-    instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-) -> ChaseResult {
-    chase_naive_governed(instance, deps, mode, limits, &Governor::unlimited())
-}
-
-/// [`chase_naive_with`] under an explicit [`Governor`] (the
-/// [`chase_governed_with`] worker).
-fn chase_naive_governed(
-    mut instance: Instance,
-    deps: &[Dependency],
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    governor: &Governor,
-) -> ChaseResult {
-    let mut steps = 0usize;
-    let mut tgd_steps = 0usize;
-    let mut egd_steps = 0usize;
-    let mut log: Vec<StepRecord> = Vec::new();
-    let mut stats = ChaseStats::default();
-    let mut stopped: Option<StopReason> = None;
-
-    'outer: loop {
-        // A mid-round governor stop takes precedence over the counter
-        // limits: both are honest "undecided" endings, but the stop
-        // carries the reason the caller asked for.
-        if stopped.is_none() {
-            if let Err(reason) = governor.on_round(stats.rounds + 1, instance.heap_bytes()) {
-                stopped = Some(reason);
-            }
-        }
-        if let Some(reason) = stopped.take() {
-            return ChaseResult {
-                outcome: ChaseOutcome::Stopped { reason },
-                instance,
-                steps,
-                tgd_steps,
-                egd_steps,
-                log,
-                stats,
-            };
-        }
-        if steps >= limits.max_steps || instance.fact_count() >= limits.max_facts {
-            return ChaseResult {
-                outcome: ChaseOutcome::ResourceExceeded,
-                instance,
-                steps,
-                tgd_steps,
-                egd_steps,
-                log,
-                stats,
-            };
-        }
-        stats.rounds += 1;
-        let round_start = Instant::now();
-        let _round_span = pde_trace::span("chase.round")
-            .field("engine", "naive")
-            .field("round", stats.rounds)
-            .field("facts", instance.fact_count());
-        let mut progressed = false;
-        for (i, dep) in deps.iter().enumerate() {
-            match dep {
-                Dependency::Tgd(tgd) => {
-                    let applied = apply_tgd_round(
-                        &mut instance,
-                        i,
-                        tgd,
-                        mode,
-                        limits,
-                        governor,
-                        &mut stopped,
-                        &mut steps,
-                        &mut log,
-                        &mut stats,
-                    );
-                    if applied > 0 {
-                        tgd_steps += applied;
-                        progressed = true;
-                    }
-                    if stopped.is_some() {
-                        continue 'outer; // surfaced by the loop-head check
-                    }
-                    if steps >= limits.max_steps || instance.fact_count() >= limits.max_facts {
-                        continue 'outer; // limit check at loop head
-                    }
-                }
-                Dependency::Egd(egd) => {
-                    let mut egd_span = pde_trace::span("egd.merge")
-                        .field("engine", "naive")
-                        .field("dep", i)
-                        .field("round", stats.rounds);
-                    let merges_before = stats.egd_merges;
-                    loop {
-                        match apply_one_egd(&mut instance, egd) {
-                            EgdStep::None => break,
-                            EgdStep::Merged { from, to } => {
-                                steps += 1;
-                                egd_steps += 1;
-                                stats.egd_merges += 1;
-                                stats.triggers_found += 1;
-                                progressed = true;
-                                log.push(StepRecord::Egd {
-                                    dep_index: i,
-                                    from,
-                                    to,
-                                });
-                                if steps >= limits.max_steps {
-                                    continue 'outer;
-                                }
-                            }
-                            EgdStep::Failure => {
-                                return ChaseResult {
-                                    outcome: ChaseOutcome::Failure { dep_index: i },
-                                    instance,
-                                    steps: steps + 1,
-                                    tgd_steps,
-                                    egd_steps: egd_steps + 1,
-                                    log,
-                                    stats,
-                                };
-                            }
-                        }
-                    }
-                    egd_span.record_field("merges", stats.egd_merges - merges_before);
-                }
-            }
-        }
-        stats
-            .round_ns
-            .record(u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        if !progressed {
-            return ChaseResult {
-                outcome: ChaseOutcome::Success,
-                instance,
-                steps,
-                tgd_steps,
-                egd_steps,
-                log,
-                stats,
-            };
-        }
-    }
-}
-
-/// Apply every *currently active* trigger of `tgd` once (re-validating each
-/// before application, since earlier applications may have satisfied it).
-/// Returns the number of steps applied; a governor stop is reported
-/// through `stopped` and ends the batch early. (Naive engine only.)
-#[allow(clippy::too_many_arguments)]
-fn apply_tgd_round(
-    instance: &mut Instance,
-    dep_index: usize,
-    tgd: &Tgd,
-    mode: WitnessMode<'_>,
-    limits: ChaseLimits,
-    governor: &Governor,
-    stopped: &mut Option<StopReason>,
-    steps: &mut usize,
-    log: &mut Vec<StepRecord>,
-    stats: &mut ChaseStats,
-) -> usize {
-    let mut dep_span = pde_trace::span("chase.trigger")
-        .field("engine", "naive")
-        .field("dep", dep_index)
-        .field("round", stats.rounds);
-    // Collect the active triggers against the current instance. Triggers
-    // stay valid under insertions (homomorphisms are monotone), so batch
-    // collection is sound in a round without egd steps.
-    let mut triggers: Vec<Assignment> = Vec::new();
-    let found_before = stats.triggers_found;
-    let _ = for_each_hom(&tgd.premise.atoms, instance, &Assignment::new(), |h| {
-        stats.triggers_found += 1;
-        if exists_hom(&tgd.conclusion.atoms, instance, h) {
-            stats.triggers_satisfied += 1;
-        } else {
-            triggers.push(h.clone());
-        }
-        ControlFlow::Continue(())
-    });
-    dep_span.record_field("found", stats.triggers_found - found_before);
-    let mut applied = 0usize;
-    for h in triggers {
-        if *steps >= limits.max_steps || instance.fact_count() >= limits.max_facts {
-            break;
-        }
-        // Re-check: a previous application may have satisfied this trigger.
-        if exists_hom(&tgd.conclusion.atoms, instance, &h) {
-            stats.triggers_satisfied += 1;
-            continue;
-        }
-        governor.on_trigger(*steps);
-        if let Err(reason) = governor.on_alloc(*steps) {
-            *stopped = Some(reason);
-            break;
-        }
-        let new_facts = apply_tgd_step(instance, tgd, &h, mode);
-        log.push(StepRecord::Tgd {
-            dep_index,
-            new_facts,
-        });
-        *steps += 1;
-        applied += 1;
-        stats.triggers_fired += 1;
-    }
-    dep_span.record_field("fired", applied);
-    applied
-}
-
 /// Apply one tgd step for trigger `h`; returns the number of new facts.
-fn apply_tgd_step(
+pub(crate) fn apply_tgd_step(
     instance: &mut Instance,
     tgd: &Tgd,
     h: &Assignment,
@@ -787,99 +458,6 @@ fn apply_tgd_step(
     new_facts
 }
 
-enum EgdStep {
-    None,
-    Merged { from: Value, to: Value },
-    Failure,
-}
-
-/// Find and apply one egd violation; substitutions invalidate other
-/// outstanding homomorphisms, so egds are applied one at a time.
-/// (Naive engine only.)
-fn apply_one_egd(instance: &mut Instance, egd: &Egd) -> EgdStep {
-    let Some(h) = satisfy::find_egd_violation(instance, egd) else {
-        return EgdStep::None;
-    };
-    let l = h
-        .get(egd.lhs)
-        .expect("egd lhs bound: violation hom covers the premise");
-    let r = h
-        .get(egd.rhs)
-        .expect("egd rhs bound: violation hom covers the premise");
-    match (l, r) {
-        (Value::Const(_), Value::Const(_)) => EgdStep::Failure,
-        (Value::Null(_), _) => {
-            instance.substitute(l, r);
-            EgdStep::Merged { from: l, to: r }
-        }
-        (_, Value::Null(_)) => {
-            instance.substitute(r, l);
-            EgdStep::Merged { from: r, to: l }
-        }
-    }
-}
-
-/// Standard chase with fresh nulls and default limits (default engine).
-pub fn chase(instance: Instance, deps: &[Dependency], gen: &NullGen) -> ChaseResult {
-    chase_with(
-        instance,
-        deps,
-        WitnessMode::FreshNulls(gen),
-        ChaseLimits::default(),
-    )
-}
-
-/// [`chase`] forced onto the naive engine — the differential-testing
-/// entry point.
-pub fn chase_naive(instance: Instance, deps: &[Dependency], gen: &NullGen) -> ChaseResult {
-    chase_naive_with(
-        instance,
-        deps,
-        WitnessMode::FreshNulls(gen),
-        ChaseLimits::default(),
-    )
-}
-
-/// Chase with tgds only (no failure possible; outcome is success or
-/// resource-exceeded).
-pub fn chase_tgds(instance: Instance, tgds: &[Tgd], gen: &NullGen) -> ChaseResult {
-    let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
-    chase(instance, &deps, gen)
-}
-
-/// [`chase_tgds`] under an explicit engine and runtime governor (default
-/// limits). Solvers route their internal chases through this so a single
-/// governor bounds a whole solve.
-pub fn chase_tgds_governed(
-    instance: Instance,
-    tgds: &[Tgd],
-    gen: &NullGen,
-    engine: ChaseEngine,
-    governor: &Governor,
-) -> ChaseResult {
-    let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
-    chase_governed_with(
-        instance,
-        &deps,
-        WitnessMode::FreshNulls(gen),
-        ChaseLimits::default(),
-        engine,
-        governor,
-    )
-}
-
-/// Solution-aware chase (paper Def. 7): chase `instance` with `deps`
-/// drawing tgd witnesses from `solution`. The caller must ensure `solution`
-/// contains `instance` and satisfies the tgds in `deps`.
-pub fn solution_aware_chase(
-    instance: Instance,
-    deps: &[Dependency],
-    solution: &Instance,
-    limits: ChaseLimits,
-) -> ChaseResult {
-    chase_with(instance, deps, WitnessMode::FromSolution(solution), limits)
-}
-
 /// Seed a null generator safely above every null already in `instance`.
 pub fn null_gen_for(instance: &Instance) -> NullGen {
     NullGen::starting_at(instance.max_null_id().map_or(0, |m| m + 1))
@@ -888,13 +466,33 @@ pub fn null_gen_for(instance: &Instance) -> NullGen {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::chase_naive;
     use crate::satisfy::{satisfies_all, satisfies_all_tgds};
     use pde_constraints::{parse_dependencies, parse_tgds};
     use pde_relational::{instances_isomorphic, parse_instance, parse_schema, Schema};
+    use pde_runtime::{CancelToken, GovernorConfig, StopReason};
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// The signature both the engine and its oracle share.
+    type Engine = fn(Instance, &[Dependency], WitnessMode<'_>, &ChaseOptions<'_>) -> ChaseResult;
 
     fn schema() -> Arc<Schema> {
         Arc::new(parse_schema("source E/2; target H/2; target K/2;").unwrap())
+    }
+
+    fn tgd_deps(tgds: &[Tgd]) -> Vec<Dependency> {
+        tgds.iter().cloned().map(Dependency::Tgd).collect()
+    }
+
+    /// A default-options standard chase with a fresh null generator.
+    fn run(engine: Engine, inst: Instance, deps: &[Dependency]) -> ChaseResult {
+        engine(
+            inst,
+            deps,
+            WitnessMode::FreshNulls(&NullGen::new()),
+            &ChaseOptions::default(),
+        )
     }
 
     #[test]
@@ -902,8 +500,7 @@ mod tests {
         let s = schema();
         let tgds = parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap();
         let inst = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
-        let gen = NullGen::new();
-        let res = chase_tgds(inst, &tgds, &gen);
+        let res = run(chase, inst, &tgd_deps(&tgds));
         assert!(res.is_success());
         let out = res.instance;
         let h = s.rel_id("H").unwrap();
@@ -917,8 +514,7 @@ mod tests {
         let s = schema();
         let tgds = parse_tgds(&s, "E(x, y) -> exists z . H(x, z), K(z, y)").unwrap();
         let inst = parse_instance(&s, "E(a, b).").unwrap();
-        let gen = NullGen::new();
-        let res = chase_tgds(inst, &tgds, &gen);
+        let res = run(chase, inst, &tgd_deps(&tgds));
         assert!(res.is_success());
         let out = res.instance;
         assert_eq!(out.fact_count(), 3);
@@ -932,8 +528,7 @@ mod tests {
         let tgds = parse_tgds(&s, "E(x, y) -> exists z . H(x, z)").unwrap();
         // H(a, q) already witnesses E(a, b): no step needed.
         let inst = parse_instance(&s, "E(a, b). H(a, q).").unwrap();
-        let gen = NullGen::new();
-        let res = chase_tgds(inst, &tgds, &gen);
+        let res = run(chase, inst, &tgd_deps(&tgds));
         assert!(res.is_success());
         assert_eq!(res.steps, 0);
         assert_eq!(res.instance.nulls().len(), 0);
@@ -948,8 +543,7 @@ mod tests {
         )
         .unwrap();
         let inst = parse_instance(&s, "E(a, b). H(a, c).").unwrap();
-        let gen = NullGen::new();
-        let res = chase(inst, &deps, &gen);
+        let res = run(chase, inst, &deps);
         assert!(res.is_success());
         let out = res.instance;
         let h = s.rel_id("H").unwrap();
@@ -965,8 +559,7 @@ mod tests {
         let s = schema();
         let deps = parse_dependencies(&s, "H(x, y), H(x, z) -> y = z").unwrap();
         let inst = parse_instance(&s, "H(a, b). H(a, c).").unwrap();
-        let gen = NullGen::new();
-        let res = chase(inst, &deps, &gen);
+        let res = run(chase, inst, &deps);
         assert!(res.is_failure());
         assert_eq!(res.outcome, ChaseOutcome::Failure { dep_index: 0 });
     }
@@ -981,8 +574,7 @@ mod tests {
         )
         .unwrap();
         let inst = parse_instance(&s, "E(a, b).").unwrap();
-        let gen = NullGen::new();
-        let res = chase(inst, &deps, &gen);
+        let res = run(chase, inst, &deps);
         assert!(res.is_success());
         let out = res.instance;
         assert_eq!(out.nulls().len(), 1, "the two nulls merged");
@@ -995,13 +587,15 @@ mod tests {
         let mut a = Instance::new(s.clone());
         a.insert_consts("A", ["x", "y"]);
         let tgds = parse_tgds(&s, "A(x, y) -> exists z . A(y, z)").unwrap();
-        let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
         let gen = NullGen::new();
-        let res = chase_with(
+        let res = chase(
             a,
-            &deps,
+            &tgd_deps(&tgds),
             WitnessMode::FreshNulls(&gen),
-            ChaseLimits::tight(50),
+            &ChaseOptions {
+                limits: ChaseLimits::tight(50),
+                ..ChaseOptions::default()
+            },
         );
         assert_eq!(res.outcome, ChaseOutcome::ResourceExceeded);
         assert!(res.steps >= 50);
@@ -1011,11 +605,15 @@ mod tests {
     fn solution_aware_chase_stays_inside_solution() {
         let s = schema();
         let tgds = parse_tgds(&s, "E(x, y) -> exists z . H(x, z)").unwrap();
-        let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
         let inst = parse_instance(&s, "E(a, b).").unwrap();
         // A "solution" containing inst and satisfying the tgd.
         let solution = parse_instance(&s, "E(a, b). H(a, w1). H(a, w2).").unwrap();
-        let res = solution_aware_chase(inst, &deps, &solution, ChaseLimits::default());
+        let res = chase(
+            inst,
+            &tgd_deps(&tgds),
+            WitnessMode::FromSolution(&solution),
+            &ChaseOptions::default(),
+        );
         assert!(res.is_success());
         let out = res.instance;
         assert!(out.contained_in(&solution), "chase stayed inside K'");
@@ -1031,10 +629,14 @@ mod tests {
     fn solution_aware_chase_validates_precondition() {
         let s = schema();
         let tgds = parse_tgds(&s, "E(x, y) -> exists z . H(x, z)").unwrap();
-        let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
         let inst = parse_instance(&s, "E(a, b).").unwrap();
         let bogus = parse_instance(&s, "E(a, b).").unwrap(); // no H witness
-        let _ = solution_aware_chase(inst, &deps, &bogus, ChaseLimits::default());
+        let _ = chase(
+            inst,
+            &tgd_deps(&tgds),
+            WitnessMode::FromSolution(&bogus),
+            &ChaseOptions::default(),
+        );
     }
 
     #[test]
@@ -1046,14 +648,13 @@ mod tests {
         )
         .unwrap();
         let inst = parse_instance(&s, "E(a, b). E(a, c). H(a, q).").unwrap();
-        let gen = NullGen::new();
-        let res = chase(inst, &deps, &gen);
+        let res = run(chase, inst, &deps);
         assert!(res.is_success());
         assert_eq!(res.log.len(), res.steps);
         let tgd_recs = res
             .log
             .iter()
-            .filter(|r| matches!(r, crate::result::StepRecord::Tgd { .. }))
+            .filter(|r| matches!(r, StepRecord::Tgd { .. }))
             .count();
         let egd_recs = res.log.len() - tgd_recs;
         assert_eq!(tgd_recs, res.tgd_steps);
@@ -1061,14 +662,14 @@ mod tests {
         // Dependency indexes point into the chased list.
         for r in &res.log {
             match r {
-                crate::result::StepRecord::Tgd {
+                StepRecord::Tgd {
                     dep_index,
                     new_facts,
                 } => {
                     assert_eq!(*dep_index, 0);
                     assert!(*new_facts <= 1);
                 }
-                crate::result::StepRecord::Egd {
+                StepRecord::Egd {
                     dep_index,
                     from,
                     to,
@@ -1083,10 +684,9 @@ mod tests {
     #[test]
     fn chase_without_steps_has_empty_log() {
         let s = schema();
-        let tgds = parse_tgds(&s, "E(x, y) -> exists z . H(x, z)").unwrap();
+        let deps = tgd_deps(&parse_tgds(&s, "E(x, y) -> exists z . H(x, z)").unwrap());
         let inst = parse_instance(&s, "E(a, b). H(a, w).").unwrap();
-        let gen = NullGen::new();
-        let res = chase_tgds(inst, &tgds, &gen);
+        let res = run(chase, inst, &deps);
         assert!(res.log.is_empty());
     }
 
@@ -1101,13 +701,10 @@ mod tests {
     #[test]
     fn chase_is_idempotent_on_satisfied_instances() {
         let s = schema();
-        let tgds = parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap();
+        let deps = tgd_deps(&parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap());
         let inst = parse_instance(&s, "E(a, b). E(b, c).").unwrap();
-        let gen = NullGen::new();
-        let once = chase_tgds(inst, &tgds, &gen).into_success().unwrap();
-        let twice = chase_tgds(once.clone(), &tgds, &gen)
-            .into_success()
-            .unwrap();
+        let once = run(chase, inst, &deps).into_success().unwrap();
+        let twice = run(chase, once.clone(), &deps).into_success().unwrap();
         assert!(once.same_facts(&twice));
     }
 
@@ -1132,18 +729,8 @@ mod tests {
         for (deps_src, inst_src) in cases {
             let deps = parse_dependencies(&s, deps_src).unwrap();
             let inst = parse_instance(&s, inst_src).unwrap();
-            let naive = chase_naive_with(
-                inst.clone(),
-                &deps,
-                WitnessMode::FreshNulls(&NullGen::new()),
-                ChaseLimits::default(),
-            );
-            let semi = chase_seminaive_with(
-                inst,
-                &deps,
-                WitnessMode::FreshNulls(&NullGen::new()),
-                ChaseLimits::default(),
-            );
+            let naive = run(chase_naive, inst.clone(), &deps);
+            let semi = run(chase, inst, &deps);
             assert!(naive.is_success() && semi.is_success(), "{deps_src}");
             assert!(
                 instances_isomorphic(&naive.instance, &semi.instance),
@@ -1159,18 +746,8 @@ mod tests {
         let s = schema();
         let deps = parse_dependencies(&s, "E(x, y) -> H(x, y); H(x, y), H(x, z) -> y = z").unwrap();
         let inst = parse_instance(&s, "E(a, b). E(a, c).").unwrap();
-        let naive = chase_naive_with(
-            inst.clone(),
-            &deps,
-            WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
-        );
-        let semi = chase_seminaive_with(
-            inst,
-            &deps,
-            WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
-        );
+        let naive = run(chase_naive, inst.clone(), &deps);
+        let semi = run(chase, inst, &deps);
         assert!(naive.is_failure());
         assert!(semi.is_failure());
         assert_eq!(semi.outcome, ChaseOutcome::Failure { dep_index: 1 });
@@ -1187,35 +764,25 @@ mod tests {
         // Chase a base to fixpoint, then insert new facts at a fresh epoch
         // and re-chase only off the delta.
         let base = parse_instance(&s, "E(a, b). E(b, c).").unwrap();
-        let fixed = chase_seminaive_with(
-            base,
-            &deps,
-            WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
-        );
+        let fixed = run(chase, base, &deps);
         assert!(fixed.is_success());
         let mut grown = fixed.instance;
         let watermark = grown.bump_epoch();
         grown.insert_consts("E", ["c", "d"]);
         let gen = null_gen_for(&grown);
-        let incremental = chase_incremental_governed(
+        let incremental = chase(
             grown.clone(),
             &deps,
             WitnessMode::FreshNulls(&gen),
-            ChaseLimits::default(),
-            &Governor::unlimited(),
-            None,
-            watermark,
+            &ChaseOptions {
+                since: watermark,
+                ..ChaseOptions::default()
+            },
         );
         assert!(incremental.is_success());
         // Oracle: a fresh full chase of the grown base.
         let fresh_base = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
-        let fresh = chase_seminaive_with(
-            fresh_base,
-            &deps,
-            WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
-        );
+        let fresh = run(chase, fresh_base, &deps);
         assert!(fresh.is_success());
         assert!(
             instances_isomorphic(&incremental.instance, &fresh.instance),
@@ -1230,17 +797,31 @@ mod tests {
     }
 
     #[test]
-    fn seminaive_stats_count_rounds_and_delta_skips() {
+    #[should_panic(expected = "schedule must partition")]
+    fn schedule_must_partition_the_dependencies() {
         let s = schema();
-        let tgds = parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap();
-        let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
-        let inst = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
-        let res = chase_seminaive_with(
+        let deps = tgd_deps(&parse_tgds(&s, "E(x, y) -> H(x, y)").unwrap());
+        let inst = parse_instance(&s, "E(a, b).").unwrap();
+        let schedule = DepSchedule {
+            strata: vec![vec![0], vec![0]],
+        };
+        let _ = chase(
             inst,
             &deps,
             WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
+            &ChaseOptions {
+                schedule: Some(&schedule),
+                ..ChaseOptions::default()
+            },
         );
+    }
+
+    #[test]
+    fn seminaive_stats_count_rounds_and_delta_skips() {
+        let s = schema();
+        let deps = tgd_deps(&parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap());
+        let inst = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
+        let res = run(chase, inst, &deps);
         assert!(res.is_success());
         // Round 1 fires both path triggers; round 2's delta is H-only, so
         // the E-only premise is never re-enumerated.
@@ -1252,39 +833,45 @@ mod tests {
         assert_eq!(res.stats.egd_merges, 0);
     }
 
+    /// Chase `inst` with `deps` under `governor`.
+    fn governed(
+        engine: Engine,
+        inst: Instance,
+        deps: &[Dependency],
+        governor: &Governor,
+    ) -> ChaseResult {
+        engine(
+            inst,
+            deps,
+            WitnessMode::FreshNulls(&NullGen::new()),
+            &ChaseOptions {
+                governor: Some(governor),
+                ..ChaseOptions::default()
+            },
+        )
+    }
+
     #[test]
     fn governed_chase_stops_on_deadline_and_keeps_input_unpoisoned() {
-        use pde_runtime::{Governor, GovernorConfig};
-        use std::time::Duration;
         let s = Arc::new(parse_schema("target A/2;").unwrap());
         let mut a = Instance::new(s.clone());
         a.insert_consts("A", ["x", "y"]);
-        let tgds = parse_tgds(&s, "A(x, y) -> exists z . A(y, z)").unwrap();
-        let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
-        let gen = NullGen::new();
+        let deps = tgd_deps(&parse_tgds(&s, "A(x, y) -> exists z . A(y, z)").unwrap());
         let governor = Governor::new(GovernorConfig {
             deadline: Some(Duration::ZERO),
             ..GovernorConfig::default()
         });
-        for engine in [ChaseEngine::Seminaive, ChaseEngine::Naive] {
-            let res = chase_governed_with(
-                a.clone(),
-                &deps,
-                WitnessMode::FreshNulls(&gen),
-                ChaseLimits::default(),
-                engine,
-                &governor,
-            );
+        for engine in [chase as Engine, chase_naive] {
+            let res = governed(engine, a.clone(), &deps, &governor);
             let ChaseOutcome::Stopped { reason } = &res.outcome else {
                 panic!("expected a governed stop, got {:?}", res.outcome);
             };
             assert!(
-                matches!(reason, pde_runtime::StopReason::DeadlineExceeded { .. }),
+                matches!(reason, StopReason::DeadlineExceeded { .. }),
                 "{reason:?}"
             );
             // The zero deadline trips before any step is applied.
             assert_eq!(res.steps, 0);
-            // Governor-derived numbers live in the report layer now.
             assert!(governor.report().deadline_remaining.is_some());
         }
         // The caller's instance is untouched (engines consume clones).
@@ -1293,25 +880,15 @@ mod tests {
 
     #[test]
     fn governed_chase_stops_on_memory_budget() {
-        use pde_runtime::{Governor, GovernorConfig, StopReason};
         let s = Arc::new(parse_schema("target A/2;").unwrap());
         let mut a = Instance::new(s.clone());
         a.insert_consts("A", ["x", "y"]);
-        let tgds = parse_tgds(&s, "A(x, y) -> exists z . A(y, z)").unwrap();
-        let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
-        let gen = NullGen::new();
+        let deps = tgd_deps(&parse_tgds(&s, "A(x, y) -> exists z . A(y, z)").unwrap());
         let governor = Governor::new(GovernorConfig {
             memory_budget_bytes: Some(1),
             ..GovernorConfig::default()
         });
-        let res = chase_governed_with(
-            a,
-            &deps,
-            WitnessMode::FreshNulls(&gen),
-            ChaseLimits::default(),
-            ChaseEngine::Seminaive,
-            &governor,
-        );
+        let res = governed(chase, a, &deps, &governor);
         let ChaseOutcome::Stopped { reason } = res.outcome else {
             panic!("expected a governed stop, got {:?}", res.outcome);
         };
@@ -1321,10 +898,8 @@ mod tests {
 
     #[test]
     fn governed_chase_observes_cancellation() {
-        use pde_runtime::{CancelToken, Governor, GovernorConfig, StopReason};
         let s = schema();
-        let tgds = parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap();
-        let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
+        let deps = tgd_deps(&parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap());
         let inst = parse_instance(&s, "E(a, b). E(b, c).").unwrap();
         let token = CancelToken::new();
         token.cancel();
@@ -1332,14 +907,7 @@ mod tests {
             cancel: Some(token),
             ..GovernorConfig::default()
         });
-        let res = chase_governed_with(
-            inst,
-            &deps,
-            WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
-            ChaseEngine::Seminaive,
-            &governor,
-        );
+        let res = governed(chase, inst, &deps, &governor);
         assert_eq!(
             res.outcome,
             ChaseOutcome::Stopped {
@@ -1352,34 +920,12 @@ mod tests {
     #[test]
     fn unlimited_governor_changes_nothing() {
         let s = schema();
-        let tgds = parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap();
-        let deps: Vec<Dependency> = tgds.into_iter().map(Dependency::Tgd).collect();
+        let deps = tgd_deps(&parse_tgds(&s, "E(x, z), E(z, y) -> H(x, y)").unwrap());
         let inst = parse_instance(&s, "E(a, b). E(b, c). E(c, d).").unwrap();
-        let plain = chase_seminaive_with(
-            inst.clone(),
-            &deps,
-            WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
-        );
-        let governed = chase_governed_with(
-            inst,
-            &deps,
-            WitnessMode::FreshNulls(&NullGen::new()),
-            ChaseLimits::default(),
-            ChaseEngine::Seminaive,
-            &pde_runtime::Governor::unlimited(),
-        );
+        let plain = run(chase, inst.clone(), &deps);
+        let governed = governed(chase, inst, &deps, &Governor::unlimited());
         assert!(plain.is_success() && governed.is_success());
         assert!(plain.instance.same_facts(&governed.instance));
         assert_eq!(plain.steps, governed.steps);
-    }
-
-    #[test]
-    fn default_engine_is_switchable() {
-        assert_eq!(default_chase_engine(), ChaseEngine::Seminaive);
-        set_default_chase_engine(ChaseEngine::Naive);
-        assert_eq!(default_chase_engine(), ChaseEngine::Naive);
-        set_default_chase_engine(ChaseEngine::Seminaive);
-        assert_eq!(default_chase_engine(), ChaseEngine::Seminaive);
     }
 }

@@ -1,10 +1,11 @@
 //! Chase engines for peer data exchange.
 //!
 //! * [`satisfy`]: dependency satisfaction checks (`K ⊨ d`);
-//! * [`engine`]: the standard chase with fresh nulls and the paper's
-//!   solution-aware chase (Definitions 6–7), each in a semi-naive
-//!   delta-driven implementation (default) and a naive oracle
-//!   implementation (see `docs/CHASE.md`);
+//! * [`engine`]: the one production chase, [`chase`]: the standard chase
+//!   with fresh nulls and the paper's solution-aware chase (Definitions
+//!   6–7), semi-naive and delta-driven (see `docs/CHASE.md`);
+//! * [`oracle`]: the naive chase behind the same signature, the
+//!   differential-testing oracle for tests and benchmarks;
 //! * [`result`]: outcomes (success / egd failure / resource limits) and
 //!   step statistics.
 //!
@@ -14,15 +15,11 @@
 //! `J'`.
 
 pub mod engine;
+pub mod oracle;
 pub mod result;
 pub mod satisfy;
 
-pub use engine::{
-    chase, chase_governed_scheduled, chase_governed_with, chase_incremental_governed, chase_naive,
-    chase_naive_with, chase_seminaive_with, chase_tgds, chase_tgds_governed, chase_with,
-    default_chase_engine, null_gen_for, set_default_chase_engine, solution_aware_chase,
-    ChaseEngine, DepSchedule, WitnessMode,
-};
+pub use engine::{chase, null_gen_for, ChaseOptions, DepSchedule, WitnessMode};
 pub use result::{ChaseLimits, ChaseOutcome, ChaseResult, ChaseStats, StepRecord};
 pub use satisfy::{
     find_egd_violation, find_tgd_violation, satisfies, satisfies_all, satisfies_all_tgds,

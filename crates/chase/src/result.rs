@@ -102,9 +102,9 @@ pub enum StepRecord {
 }
 
 /// Aggregate engine counters for one chase run — what `pde solve --stats`
-/// prints. All counters are filled by both engines except
-/// `skipped_by_delta`, which is inherently semi-naive (the naive engine
-/// reports 0 there: it skips nothing).
+/// prints. The naive oracle fills every counter except
+/// `skipped_by_delta`, which is inherently semi-naive (the oracle reports
+/// 0 there: it skips nothing).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaseStats {
     /// Number of rounds (sweeps over the dependency list) until fixpoint,
@@ -122,26 +122,6 @@ pub struct ChaseStats {
     pub skipped_by_delta: usize,
     /// Egd merges applied (equals the egd step count).
     pub egd_merges: usize,
-    /// Largest estimated instance footprint observed at any governor
-    /// checkpoint, in bytes (0 for ungoverned runs that never checked).
-    ///
-    /// **Deprecation note:** governor-derived; engines no longer populate
-    /// it. Read [`pde_runtime::GovernorReport::peak_bytes`] (or the run
-    /// report's `governor.peak_bytes` metric) instead. The field stays so
-    /// the public shape is unchanged; it will be removed in a future
-    /// revision.
-    pub peak_bytes: usize,
-    /// Governor checkpoints that observed the cancel token set.
-    ///
-    /// **Deprecation note:** governor-derived; engines no longer populate
-    /// it — read [`pde_runtime::GovernorReport::cancellations_observed`].
-    pub cancellations_observed: usize,
-    /// Wall-clock budget left when the run finished, in nanoseconds
-    /// (`None` when no deadline was configured; saturates at `u64::MAX`).
-    ///
-    /// **Deprecation note:** governor-derived; engines no longer populate
-    /// it — read [`pde_runtime::GovernorReport::deadline_remaining`].
-    pub deadline_remaining_nanos: Option<u64>,
     /// Latency distribution of completed rounds, in nanoseconds. Rounds
     /// cut short by a governor stop or a resource limit are not recorded
     /// (their partial timing would skew the buckets), so `round_ns.count`
@@ -151,11 +131,8 @@ pub struct ChaseStats {
 
 impl ChaseStats {
     /// Fold another run's counters into this one, for callers that run
-    /// several chases and report one aggregate. Work counters sum; the
-    /// governor-derived fields combine so that chases sharing one
-    /// governor (whose reports are cumulative) are not double-counted:
-    /// peak bytes and cancellations take the max, deadline remaining
-    /// takes the min.
+    /// several chases and report one aggregate: counters sum and the
+    /// round-latency histograms merge.
     pub fn absorb(&mut self, other: ChaseStats) {
         self.rounds += other.rounds;
         self.triggers_found += other.triggers_found;
@@ -163,27 +140,16 @@ impl ChaseStats {
         self.triggers_satisfied += other.triggers_satisfied;
         self.skipped_by_delta += other.skipped_by_delta;
         self.egd_merges += other.egd_merges;
-        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
-        self.cancellations_observed = self
-            .cancellations_observed
-            .max(other.cancellations_observed);
-        self.deadline_remaining_nanos = match (
-            self.deadline_remaining_nanos,
-            other.deadline_remaining_nanos,
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         self.round_ns.merge(&other.round_ns);
     }
 
     /// Export the engine work counters into a
     /// [`pde_trace::MetricsRegistry`] under the `chase.` prefix.
     ///
-    /// Only engine-owned counters are exported; the deprecated
-    /// governor-derived fields are deliberately omitted — the report layer
-    /// sources those from [`pde_runtime::GovernorReport::export_metrics`]
-    /// so they are counted exactly once.
+    /// Governor numbers (peak bytes, cancellations, deadline remaining)
+    /// are not engine counters: the report layer sources them from
+    /// [`pde_runtime::GovernorReport::export_metrics`], so chases sharing
+    /// one governor count them exactly once.
     pub fn export_metrics(&self, reg: &mut pde_trace::MetricsRegistry) {
         let u = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
         reg.add("chase.rounds", u(self.rounds));
@@ -305,27 +271,26 @@ mod tests {
     }
 
     #[test]
-    fn absorb_combines_governor_fields_without_double_counting() {
+    fn absorb_sums_counters_and_merges_histograms() {
         let mut a = ChaseStats {
             rounds: 2,
-            peak_bytes: 100,
-            cancellations_observed: 1,
-            deadline_remaining_nanos: Some(500),
+            triggers_fired: 1,
             ..ChaseStats::default()
         };
-        // A second chase on the same governor: cumulative counters.
-        let b = ChaseStats {
+        a.round_ns.record(100);
+        let mut b = ChaseStats {
             rounds: 3,
-            peak_bytes: 80,
-            cancellations_observed: 1,
-            deadline_remaining_nanos: Some(200),
+            triggers_fired: 4,
+            egd_merges: 2,
             ..ChaseStats::default()
         };
+        b.round_ns.record(200);
+        b.round_ns.record(300);
         a.absorb(b);
         assert_eq!(a.rounds, 5);
-        assert_eq!(a.peak_bytes, 100);
-        assert_eq!(a.cancellations_observed, 1);
-        assert_eq!(a.deadline_remaining_nanos, Some(200));
+        assert_eq!(a.triggers_fired, 5);
+        assert_eq!(a.egd_merges, 2);
+        assert_eq!(a.round_ns.count, 3);
     }
 
     #[test]

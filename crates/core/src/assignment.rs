@@ -29,7 +29,7 @@
 //! into `I`" as the satisfaction test.
 
 use crate::setting::PdeSetting;
-use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine, ChaseOutcome};
+use pde_chase::{null_gen_for, ChaseOutcome};
 use pde_constraints::{DisjunctiveTgd, Orientation, Tgd};
 use pde_relational::{
     exists_hom, for_each_hom, Assignment, FxBuildHasher, Instance, NullId, Peer, RelId, Schema,
@@ -194,17 +194,16 @@ pub fn solve(setting: &PdeSetting, input: &Instance) -> Result<AssignmentOutcome
     solve_disjunctive(&problem, input)
 }
 
-/// [`solve`] under an explicit chase engine (for the Σst chase) and
-/// runtime governor, checked at every search node. A governor stop
-/// surfaces as [`AssignmentError::Stopped`] — never as a yes/no answer.
+/// [`solve`] under a runtime governor, checked by the Σst chase and at
+/// every search node. A governor stop surfaces as
+/// [`AssignmentError::Stopped`] — never as a yes/no answer.
 pub fn solve_governed(
     setting: &PdeSetting,
     input: &Instance,
-    engine: ChaseEngine,
     governor: &Governor,
 ) -> Result<AssignmentOutcome, AssignmentError> {
     let problem = DisjunctiveProblem::from_setting(setting)?;
-    solve_disjunctive_governed(&problem, input, engine, governor)
+    solve_disjunctive_governed(&problem, input, governor)
 }
 
 /// [`solve`] for a disjunctive problem.
@@ -212,24 +211,17 @@ pub fn solve_disjunctive(
     problem: &DisjunctiveProblem,
     input: &Instance,
 ) -> Result<AssignmentOutcome, AssignmentError> {
-    solve_disjunctive_governed(
-        problem,
-        input,
-        pde_chase::default_chase_engine(),
-        &Governor::unlimited(),
-    )
+    solve_disjunctive_governed(problem, input, &Governor::unlimited())
 }
 
-/// [`solve_disjunctive`] under an explicit chase engine and runtime
-/// governor.
+/// [`solve_disjunctive`] under a runtime governor.
 pub fn solve_disjunctive_governed(
     problem: &DisjunctiveProblem,
     input: &Instance,
-    engine: ChaseEngine,
     governor: &Governor,
 ) -> Result<AssignmentOutcome, AssignmentError> {
     let mut found = None;
-    let stats = search(problem, input, engine, governor, |sol| {
+    let stats = search(problem, input, governor, |sol| {
         found = Some(sol.clone());
         ControlFlow::Break(())
     })?;
@@ -249,13 +241,7 @@ pub fn for_each_solution(
     input: &Instance,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
 ) -> Result<SearchStats, AssignmentError> {
-    search(
-        problem,
-        input,
-        pde_chase::default_chase_engine(),
-        &Governor::unlimited(),
-        f,
-    )
+    search(problem, input, &Governor::unlimited(), f)
 }
 
 struct SearchCtx<'a, F> {
@@ -294,7 +280,6 @@ enum NodeResult {
 fn search(
     problem: &DisjunctiveProblem,
     input: &Instance,
-    engine: ChaseEngine,
     governor: &Governor,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
 ) -> Result<SearchStats, AssignmentError> {
@@ -302,7 +287,7 @@ fn search(
         return Err(AssignmentError::InputNotGround);
     }
     let gen = null_gen_for(input);
-    let st_res = chase_tgds_governed(input.clone(), &problem.sigma_st, &gen, engine, governor);
+    let st_res = crate::tractable::chase_tgds(input.clone(), &problem.sigma_st, &gen, governor);
     if !st_res.is_success() {
         return Err(match st_res.outcome {
             ChaseOutcome::Stopped { reason } => AssignmentError::Stopped(reason),
@@ -781,8 +766,7 @@ mod tests {
             cancel: Some(token),
             ..GovernorConfig::default()
         });
-        let err =
-            solve_governed(&p, &input, pde_chase::default_chase_engine(), &governor).unwrap_err();
+        let err = solve_governed(&p, &input, &governor).unwrap_err();
         assert!(matches!(
             err,
             AssignmentError::Stopped(StopReason::Cancelled)

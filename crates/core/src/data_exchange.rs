@@ -9,7 +9,10 @@
 //! are exactly the certain answers.
 
 use crate::setting::PdeSetting;
-use pde_chase::{null_gen_for, ChaseEngine, ChaseLimits, ChaseOutcome, ChaseStats, DepSchedule};
+use pde_chase::{
+    chase, null_gen_for, ChaseLimits, ChaseOptions, ChaseOutcome, ChaseStats, DepSchedule,
+    WitnessMode,
+};
 use pde_constraints::Dependency;
 use pde_relational::{Instance, Peer, UnionQuery, Value};
 use pde_runtime::{Governor, StopReason};
@@ -92,37 +95,28 @@ pub fn solve_data_exchange_with_limits(
     input: &Instance,
     limits: ChaseLimits,
 ) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_governed(
-        setting,
-        input,
-        limits,
-        pde_chase::default_chase_engine(),
-        &Governor::unlimited(),
-    )
+    solve_data_exchange_governed(setting, input, limits, &Governor::unlimited())
 }
 
-/// [`solve_data_exchange_with_limits`] under an explicit chase engine and
-/// runtime governor. A governor stop surfaces as
-/// [`DataExchangeError::Stopped`] — never as a yes/no answer.
+/// [`solve_data_exchange_with_limits`] under a runtime governor. A
+/// governor stop surfaces as [`DataExchangeError::Stopped`] — never as a
+/// yes/no answer.
 pub fn solve_data_exchange_governed(
     setting: &PdeSetting,
     input: &Instance,
     limits: ChaseLimits,
-    engine: ChaseEngine,
     governor: &Governor,
 ) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_governed_scheduled(setting, input, limits, engine, governor, None)
+    solve_data_exchange_governed_scheduled(setting, input, limits, governor, None)
 }
 
 /// [`solve_data_exchange_governed`] with an optional stratified
 /// [`DepSchedule`] over the forward dependency list (Σst tgds first, then
-/// Σt — the order `pde-analysis`'s `forward_schedule` indexes). Only the
-/// semi-naive engine consumes the schedule.
+/// Σt — the order `pde-analysis`'s `forward_schedule` indexes).
 pub fn solve_data_exchange_governed_scheduled(
     setting: &PdeSetting,
     input: &Instance,
     limits: ChaseLimits,
-    engine: ChaseEngine,
     governor: &Governor,
     schedule: Option<&DepSchedule>,
 ) -> Result<DataExchangeOutcome, DataExchangeError> {
@@ -140,15 +134,13 @@ pub fn solve_data_exchange_governed_scheduled(
         .map(Dependency::Tgd)
         .chain(setting.sigma_t().iter().cloned())
         .collect();
-    let res = pde_chase::chase_governed_scheduled(
-        input.clone(),
-        &deps,
-        pde_chase::WitnessMode::FreshNulls(&gen),
+    let opts = ChaseOptions {
         limits,
-        engine,
-        governor,
+        governor: Some(governor),
         schedule,
-    );
+        since: 0,
+    };
+    let res = chase(input.clone(), &deps, WitnessMode::FreshNulls(&gen), &opts);
     match res.outcome {
         ChaseOutcome::Success => Ok(DataExchangeOutcome {
             exists: true,
@@ -293,14 +285,8 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..GovernorConfig::default()
         });
-        let err = solve_data_exchange_governed(
-            &p,
-            &input,
-            ChaseLimits::default(),
-            pde_chase::default_chase_engine(),
-            &governor,
-        )
-        .unwrap_err();
+        let err = solve_data_exchange_governed(&p, &input, ChaseLimits::default(), &governor)
+            .unwrap_err();
         assert!(matches!(
             err,
             DataExchangeError::Stopped(StopReason::DeadlineExceeded { .. })

@@ -13,7 +13,7 @@
 
 use crate::setting::PdeSetting;
 use crate::solution::is_solution;
-use pde_chase::{solution_aware_chase, ChaseLimits};
+use pde_chase::{chase, ChaseOptions, WitnessMode};
 use pde_constraints::Dependency;
 use pde_relational::Instance;
 use std::fmt;
@@ -59,7 +59,12 @@ pub fn shrink_solution(
         .map(Dependency::Tgd)
         .chain(setting.sigma_t().iter().cloned())
         .collect();
-    let res = solution_aware_chase(input.clone(), &deps, big, ChaseLimits::default());
+    let res = chase(
+        input.clone(),
+        &deps,
+        WitnessMode::FromSolution(big),
+        &ChaseOptions::default(),
+    );
     if !res.is_success() {
         return Err(ShrinkError::ChaseDidNotTerminate);
     }

@@ -16,7 +16,7 @@ use crate::data_exchange::{self, DataExchangeError};
 use crate::generic::{self, GenericLimits, GenericOutcome};
 use crate::setting::PdeSetting;
 use crate::tractable::{self, TractableError};
-use pde_chase::{ChaseEngine, ChaseLimits, ChaseStats, DepSchedule};
+use pde_chase::{ChaseLimits, ChaseStats, DepSchedule};
 use pde_relational::Instance;
 use pde_runtime::{isolate, EngineError, Governor, GovernorReport, StopReason};
 use std::fmt;
@@ -97,10 +97,6 @@ pub struct SolveReport {
     /// is `None` in that case). `None` for decided runs and for plain
     /// limit truncations.
     pub undecided: Option<StopReason>,
-    /// True when the primary engine attempt panicked or tripped an
-    /// injected fault and this report came from the retry on the naive
-    /// oracle engine.
-    pub engine_fallback: bool,
     /// Governor counters accumulated over the whole solve (all zeros /
     /// `None` for ungoverned runs that never checked).
     pub governor: GovernorReport,
@@ -143,8 +139,8 @@ impl SolveReport {
 pub enum SolveError {
     /// Input contains nulls or another per-solver precondition failed.
     Precondition(String),
-    /// An engine attempt panicked and the panic was contained at the
-    /// solver boundary (after exhausting the engine-fallback retry).
+    /// The solve panicked and the panic was contained at the solver
+    /// boundary.
     Engine(EngineError),
 }
 
@@ -237,10 +233,9 @@ pub fn decide_with_plan(
 /// wrong yes/no answer and never a poisoned input (engines consume
 /// clones).
 ///
-/// Every engine attempt runs behind panic isolation. When the primary
-/// (default) engine panics or trips an injected fault, the solve is
-/// retried once on the naive oracle engine (`engine_fallback` marks such
-/// reports); a panic surviving the retry becomes [`SolveError::Engine`].
+/// The solve runs behind panic isolation: a panic becomes
+/// [`SolveError::Engine`], and an injected fault (fault-injection builds)
+/// is a governor stop like any other, reported undecided.
 pub fn decide_governed(
     setting: &PdeSetting,
     input: &Instance,
@@ -253,7 +248,7 @@ pub fn decide_governed(
 /// [`decide_governed`] with an optional stratified [`DepSchedule`] for the
 /// chase of the data-exchange path (derived by `pde-analysis`'s
 /// `forward_schedule` over this setting's forward dependencies). The
-/// other solver kinds, and the naive fallback engine, ignore it.
+/// other solver kinds ignore it.
 pub fn decide_governed_scheduled(
     setting: &PdeSetting,
     input: &Instance,
@@ -262,47 +257,20 @@ pub fn decide_governed_scheduled(
     governor: &Governor,
 ) -> Result<SolveReport, SolveError> {
     let start = Instant::now();
-    let primary = pde_chase::default_chase_engine();
-    let first = isolate(|| attempt(setting, input, plan, primary, governor, schedule));
-    // Retry-with-degradation: a panic or an injected fault on the primary
-    // engine gets one retry on the naive oracle engine. Precondition
-    // errors and genuine budget stops are deterministic — retrying would
-    // only spend more budget on the same outcome.
-    let retryable = match &first {
-        Err(_) => true,
-        Ok(Ok(r)) => matches!(r.undecided, Some(StopReason::FaultInjected { .. })),
-        Ok(Err(_)) => false,
-    };
-    let outcome = if retryable && primary != ChaseEngine::Naive {
-        match isolate(|| attempt(setting, input, plan, ChaseEngine::Naive, governor, schedule)) {
-            Ok(res) => res.map(|mut r| {
-                r.engine_fallback = true;
-                r
-            }),
-            Err(e) => Err(SolveError::Engine(e)),
-        }
-    } else {
-        match first {
-            Ok(res) => res,
-            Err(e) => Err(SolveError::Engine(e)),
-        }
-    };
-    outcome.map(|mut r| {
-        r.elapsed = start.elapsed();
-        r.governor = governor.report();
-        r
-    })
+    let mut report = isolate(|| dispatch(setting, input, plan, governor, schedule))
+        .map_err(SolveError::Engine)??;
+    report.elapsed = start.elapsed();
+    report.governor = governor.report();
+    Ok(report)
 }
 
-/// One engine attempt: dispatch to the governed solver for the plan's
-/// kind and normalize the outcome into a [`SolveReport`] (a governor stop
-/// becomes `undecided`, every other solver error surfaces as a
-/// precondition error).
-fn attempt(
+/// Dispatch to the governed solver for the plan's kind and normalize the
+/// outcome into a [`SolveReport`] (a governor stop becomes `undecided`,
+/// every other solver error surfaces as a precondition error).
+fn dispatch(
     setting: &PdeSetting,
     input: &Instance,
     plan: &SolvePlan,
-    engine: ChaseEngine,
     governor: &Governor,
     schedule: Option<&DepSchedule>,
 ) -> Result<SolveReport, SolveError> {
@@ -316,7 +284,6 @@ fn attempt(
         chase_stats,
         search,
         undecided,
-        engine_fallback: false,
         governor: GovernorReport::default(),
     };
 
@@ -326,7 +293,6 @@ fn attempt(
                 setting,
                 input,
                 plan.chase_limits,
-                engine,
                 governor,
                 schedule,
             ) {
@@ -344,7 +310,7 @@ fn attempt(
             }
         }
         SolverKind::Tractable => {
-            match tractable::exists_solution_governed(setting, input, engine, governor) {
+            match tractable::exists_solution_governed(setting, input, governor) {
                 Ok(out) => Ok(report(
                     Some(out.exists),
                     out.witness,
@@ -359,7 +325,7 @@ fn attempt(
             }
         }
         SolverKind::AssignmentSearch => {
-            match assignment::solve_governed(setting, input, engine, governor) {
+            match assignment::solve_governed(setting, input, governor) {
                 Ok(out) => {
                     let search = SearchSummary {
                         branches: out.stats.nodes,
@@ -542,7 +508,6 @@ mod tests {
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
         let r = decide(&p, &input).unwrap();
         assert_eq!(r.exists, Some(true));
-        assert!(!r.engine_fallback);
         assert!(r.undecided.is_none());
         assert_eq!(r.governor.stops, 0);
         assert_eq!(r.governor.deadline_remaining, None);
@@ -567,10 +532,9 @@ mod tests {
         }
 
         #[test]
-        fn panic_in_trigger_falls_back_to_naive_engine() {
+        fn panic_in_trigger_is_a_contained_engine_error() {
             let (p, input) = chase_heavy_setting();
             let plan = SolvePlan::for_setting(&p);
-            let ungoverned = decide_with_plan(&p, &input, &plan).unwrap();
             let governor = Governor::with_faults(
                 GovernorConfig::default(),
                 FaultPlan {
@@ -578,14 +542,18 @@ mod tests {
                     ..FaultPlan::default()
                 },
             );
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
-            // The fault is one-shot: the retry on the naive engine decides.
-            assert!(r.engine_fallback);
-            assert_eq!(r.exists, ungoverned.exists);
+            // No retry on another engine: the panic surfaces, contained.
+            match decide_governed(&p, &input, &plan, &governor) {
+                Err(SolveError::Engine(e)) => {
+                    assert!(e.to_string().contains("injected panic"), "{e}");
+                }
+                other => panic!("expected a contained engine panic, got {other:?}"),
+            }
+            assert_eq!(governor.report().faults_fired, 1);
         }
 
         #[test]
-        fn alloc_fault_retries_then_decides() {
+        fn alloc_fault_is_undecided() {
             let (p, input) = chase_heavy_setting();
             let plan = SolvePlan::for_setting(&p);
             let governor = Governor::with_faults(
@@ -596,9 +564,14 @@ mod tests {
                 },
             );
             let r = decide_governed(&p, &input, &plan, &governor).unwrap();
-            assert!(r.engine_fallback);
-            assert_eq!(r.exists, Some(true));
-            assert!(r.governor.faults_fired >= 1);
+            assert_eq!(r.exists, None);
+            assert!(r.witness.is_none());
+            assert!(
+                matches!(r.undecided, Some(StopReason::FaultInjected { .. })),
+                "{:?}",
+                r.undecided
+            );
+            assert_eq!(r.governor.faults_fired, 1);
         }
 
         #[test]
@@ -613,9 +586,8 @@ mod tests {
                 },
             );
             let r = decide_governed(&p, &input, &plan, &governor).unwrap();
-            // Cancellation (even injected) is not an engine failure — it
-            // must not be retried away.
-            assert!(!r.engine_fallback);
+            // Cancellation (even injected) is a genuine stop, not an
+            // engine failure.
             assert_eq!(r.exists, None);
             assert!(matches!(r.undecided, Some(StopReason::Cancelled)));
         }

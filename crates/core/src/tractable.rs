@@ -19,8 +19,9 @@
 
 use crate::blocks::{blocks, max_block_nulls};
 use crate::setting::PdeSetting;
-use pde_chase::{chase_tgds_governed, null_gen_for, ChaseEngine, ChaseOutcome, ChaseResult};
-use pde_relational::{Instance, NullId, Peer, Value};
+use pde_chase::{chase, null_gen_for, ChaseOptions, ChaseOutcome, ChaseResult, WitnessMode};
+use pde_constraints::{Dependency, Tgd};
+use pde_relational::{Instance, NullGen, NullId, Peer, Value};
 use pde_runtime::{Governor, StopReason};
 use std::collections::HashMap;
 use std::fmt;
@@ -130,21 +131,14 @@ pub fn exists_solution(
     setting: &PdeSetting,
     input: &Instance,
 ) -> Result<TractableOutcome, TractableError> {
-    exists_solution_governed(
-        setting,
-        input,
-        pde_chase::default_chase_engine(),
-        &Governor::unlimited(),
-    )
+    exists_solution_governed(setting, input, &Governor::unlimited())
 }
 
-/// [`exists_solution`] under an explicit chase engine and runtime
-/// governor. A governor stop surfaces as [`TractableError::Stopped`] —
-/// never as a yes/no answer.
+/// [`exists_solution`] under a runtime governor. A governor stop surfaces
+/// as [`TractableError::Stopped`] — never as a yes/no answer.
 pub fn exists_solution_governed(
     setting: &PdeSetting,
     input: &Instance,
-    engine: ChaseEngine,
     governor: &Governor,
 ) -> Result<TractableOutcome, TractableError> {
     if !setting.has_no_target_constraints() {
@@ -153,7 +147,7 @@ pub fn exists_solution_governed(
     if !setting.classification().ctract.in_ctract() {
         return Err(TractableError::NotInCtract);
     }
-    exists_solution_governed_unchecked(setting, input, engine, governor)
+    exists_solution_governed_unchecked(setting, input, governor)
 }
 
 /// Run the Fig. 3 algorithm without the `C_tract` membership check.
@@ -166,12 +160,7 @@ pub fn exists_solution_unchecked(
     setting: &PdeSetting,
     input: &Instance,
 ) -> Result<TractableOutcome, TractableError> {
-    exists_solution_governed_unchecked(
-        setting,
-        input,
-        pde_chase::default_chase_engine(),
-        &Governor::unlimited(),
-    )
+    exists_solution_governed_unchecked(setting, input, &Governor::unlimited())
 }
 
 /// Map a non-success chase to the right refusal (governor stops stay
@@ -183,12 +172,26 @@ fn chase_refusal(res: &ChaseResult) -> TractableError {
     }
 }
 
-/// [`exists_solution_unchecked`] under an explicit chase engine and
-/// runtime governor.
+/// Chase `instance` with `tgds`, minting fresh nulls from `gen`, under
+/// `governor` and the default limits.
+pub(crate) fn chase_tgds(
+    instance: Instance,
+    tgds: &[Tgd],
+    gen: &NullGen,
+    governor: &Governor,
+) -> ChaseResult {
+    let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
+    let opts = ChaseOptions {
+        governor: Some(governor),
+        ..ChaseOptions::default()
+    };
+    chase(instance, &deps, WitnessMode::FreshNulls(gen), &opts)
+}
+
+/// [`exists_solution_unchecked`] under a runtime governor.
 pub fn exists_solution_governed_unchecked(
     setting: &PdeSetting,
     input: &Instance,
-    engine: ChaseEngine,
     governor: &Governor,
 ) -> Result<TractableOutcome, TractableError> {
     if !setting.has_no_target_constraints() {
@@ -201,20 +204,20 @@ pub fn exists_solution_governed_unchecked(
     let gen = null_gen_for(input);
 
     // Step 1: (I, J_can) := chase of (I, J) with Σst.
-    let st_res = chase_tgds_governed(input.clone(), setting.sigma_st(), &gen, engine, governor);
+    let st_res = chase_tgds(input.clone(), setting.sigma_st(), &gen, governor);
     if !st_res.is_success() {
         return Err(chase_refusal(&st_res));
     }
     stats.chase_steps += st_res.steps;
     stats.chase_stats.absorb(st_res.stats);
-    solve_from_chased(setting, input, &st_res.instance, stats, engine, governor)
+    solve_from_chased(setting, input, &st_res.instance, stats, governor)
 }
 
 /// Steps 2–3 of `ExistsSolution` on a *precomputed* step-1 chase.
 ///
 /// `chased_st` must be the Σst-chase fixpoint of `input` (the combined
-/// `(I, J_can)` instance) — e.g. one maintained incrementally across
-/// inserts via `chase_incremental_governed`, which is how `pde serve`
+/// `(I, J_can)` instance) — e.g. one maintained across inserts by an
+/// incremental [`chase`] (`ChaseOptions::since`), which is how `pde serve`
 /// answers `solve` requests without re-chasing from scratch. The same
 /// `C_tract` caveats as [`exists_solution_unchecked`] apply, and a stale
 /// or under-chased `chased_st` yields wrong answers — callers own that
@@ -223,7 +226,6 @@ pub fn exists_solution_from_chased(
     setting: &PdeSetting,
     input: &Instance,
     chased_st: &Instance,
-    engine: ChaseEngine,
     governor: &Governor,
 ) -> Result<TractableOutcome, TractableError> {
     if !setting.has_no_target_constraints() {
@@ -233,7 +235,7 @@ pub fn exists_solution_from_chased(
         return Err(TractableError::InputNotGround);
     }
     let stats = TractableStats::default();
-    solve_from_chased(setting, input, chased_st, stats, engine, governor)
+    solve_from_chased(setting, input, chased_st, stats, governor)
 }
 
 /// Shared tail of the Fig. 3 algorithm: steps 2–3 plus the witness
@@ -243,7 +245,6 @@ fn solve_from_chased(
     input: &Instance,
     chased_st: &Instance,
     mut stats: TractableStats,
-    engine: ChaseEngine,
     governor: &Governor,
 ) -> Result<TractableOutcome, TractableError> {
     stats.jcan_facts = chased_st.fact_count_of(Peer::Target);
@@ -253,7 +254,7 @@ fn solve_from_chased(
 
     // Step 2: (J_can, I_can) := chase of (J_can, ∅) with Σts.
     let jcan_only = chased_st.restrict(Peer::Target);
-    let ts_res = chase_tgds_governed(jcan_only, setting.sigma_ts(), &gen, engine, governor);
+    let ts_res = chase_tgds(jcan_only, setting.sigma_ts(), &gen, governor);
     if !ts_res.is_success() {
         return Err(chase_refusal(&ts_res));
     }
@@ -508,9 +509,7 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..GovernorConfig::default()
         });
-        let err =
-            exists_solution_governed(&p, &input, pde_chase::default_chase_engine(), &governor)
-                .unwrap_err();
+        let err = exists_solution_governed(&p, &input, &governor).unwrap_err();
         assert!(matches!(
             err,
             TractableError::Stopped(StopReason::DeadlineExceeded { .. })

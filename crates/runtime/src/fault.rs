@@ -4,9 +4,8 @@ use std::time::Duration;
 
 /// A deterministic schedule of injected faults.
 ///
-/// Each point is **one-shot**: it disarms as it fires, so a solver that
-/// retries on the fallback engine after a fault sees a clean second run —
-/// exactly the degradation ladder the fault is meant to exercise. The
+/// Each point is **one-shot**: it disarms as it fires, so later
+/// checkpoints of the same governor run clean. The
 /// type is always available (it is plain data), but only a governor built
 /// with `Governor::with_faults` — which exists only under the
 /// `fault-injection` cargo feature — ever fires one.

@@ -120,8 +120,7 @@ impl GovernorReport {
 
     /// Export every counter into a [`pde_trace::MetricsRegistry`] under
     /// the `governor.` prefix. The registry is the canonical report-layer
-    /// home for these numbers (see the deprecation notes on the
-    /// governor-derived `ChaseStats` fields).
+    /// home for these numbers.
     pub fn export_metrics(&self, reg: &mut pde_trace::MetricsRegistry) {
         let u = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
         reg.add("governor.checks", u(self.checks));
@@ -454,7 +453,7 @@ mod tests {
                 g.on_alloc(3),
                 Err(StopReason::FaultInjected { point: "alloc" })
             );
-            // One-shot: a retry on the fallback engine passes.
+            // One-shot: the next checkpoint passes.
             assert_eq!(g.on_alloc(3), Ok(()));
             assert_eq!(g.report().faults_fired, 1);
         }

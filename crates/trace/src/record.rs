@@ -106,6 +106,7 @@ mod tests {
     #[test]
     fn escaping_covers_controls_and_quotes() {
         assert_eq!(json_escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_escape("Σt"), "\"Σt\"");
         assert_eq!(json_escape("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -38,13 +38,12 @@
 //! `--max-branches <n>` (active-domain values tried per existential);
 //! exceeding a cap reports "undecided", never a wrong answer.
 //!
-//! `--chase naive|seminaive` (any command) selects the chase engine for
-//! the whole run — semi-naive delta-driven by default, `naive` as the
-//! escape hatch (see `docs/CHASE.md`). `solve --stats` prints the chase
-//! engine counters: rounds, triggers fired vs skipped-by-delta, egd
-//! merges — and, for the complete searches, the branch/candidate/prune
-//! counters — plus the resource-governor counters and whether the run
-//! fell back to the naive oracle engine.
+//! Every command chases with the one semi-naive, delta-driven engine (see
+//! `docs/CHASE.md`). `solve --stats` prints its counters: rounds,
+//! triggers fired vs skipped-by-delta, egd merges — and, for the complete
+//! searches, the branch/candidate/prune counters — plus the
+//! resource-governor counters. `pde help` (or `--help`, `-h`) prints the
+//! usage text.
 //!
 //! Observability (`docs/OBSERVABILITY.md`): `--trace <file.jsonl>` (any
 //! command) streams every phase span — chase rounds, trigger discovery,
@@ -108,7 +107,8 @@ use pde_analysis::{
     LintSection, OptimizeResult, RenderContext, RewriteAction, RewriteCertificate, Severity,
     SourceParseError, TerminationCertificate,
 };
-use pde_chase::{chase_tgds, DepSchedule};
+use pde_chase::{chase, ChaseOptions, DepSchedule, WitnessMode};
+use pde_constraints::{Dependency, Tgd};
 use pde_core::bundle::{split_sections, Bundle, BundleSources};
 use pde_core::{
     certain_answers, check_solution, decide_governed_scheduled, GenericLimits, PdeSetting,
@@ -192,8 +192,8 @@ const USAGE: &str = "usage:
   pde format    <bundle.pde>
   pde serve     <bundle.pde> <store-dir> [--timeout dur] [--memory-limit size] [--stats]
                 [--access-log <file.jsonl>] [--trace-sample n]
+  pde help      (also --help, -h): print this text
 global flags:
-  --chase naive|seminaive   chase engine (default: seminaive)
   --optimize/--no-optimize  rewrite the setting before solving (default: on;
                             --plan disables; solve/certain/enumerate only)
   --trace <file.jsonl>      stream structured spans as JSON lines (docs/OBSERVABILITY.md)
@@ -234,7 +234,6 @@ struct Flags {
     optimize: Option<bool>,
     emit_path: Option<String>,
     stats: bool,
-    chase_engine: Option<pde_chase::ChaseEngine>,
     timeout: Option<Duration>,
     memory_limit: Option<usize>,
     governed: bool,
@@ -307,16 +306,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
             "--no-optimize" => flags.optimize = Some(false),
             "--emit" => flags.emit_path = Some(flag_value(&mut it, "--emit")?),
             "--stats" => flags.stats = true,
-            "--chase" => match it.next().map(String::as_str) {
-                Some("naive") => flags.chase_engine = Some(pde_chase::ChaseEngine::Naive),
-                Some("seminaive") => flags.chase_engine = Some(pde_chase::ChaseEngine::Seminaive),
-                other => {
-                    return Err(format!(
-                        "--chase expects 'naive' or 'seminaive', got {}",
-                        other.map_or("nothing".into(), |o| format!("'{o}'"))
-                    ))
-                }
-            },
             f if f.starts_with("--") => return Err(format!("unknown flag '{f}'")),
             _ => pos.push(a.clone()),
         }
@@ -537,10 +526,6 @@ fn render_solve_json(
         Some(reason) => json_escape(&reason.to_string()),
         None => "null".to_owned(),
     };
-    let engine = match pde_chase::default_chase_engine() {
-        pde_chase::ChaseEngine::Naive => "naive",
-        pde_chase::ChaseEngine::Seminaive => "seminaive",
-    };
     let optimize = match optimize {
         Some((c, s)) => format!(
             "{{\"before\":{},\"after\":{},\"actions\":{},\"schedule\":{}}}",
@@ -558,10 +543,13 @@ fn render_solve_json(
         term.criterion
             .map_or("null".to_owned(), |c| format!("\"{c}\"")),
     );
+    // `engine` and `engine_fallback` are fixed since the chase has one
+    // engine and no fallback, but v1 readers expect both members; dropping
+    // them needs a `REPORT_VERSION` bump.
     format!(
         concat!(
-            "{{\"v\":{},\"solver\":{},\"engine\":{},\"result\":{},",
-            "\"undecided_reason\":{},\"engine_fallback\":{},",
+            "{{\"v\":{},\"solver\":{},\"engine\":\"seminaive\",\"result\":{},",
+            "\"undecided_reason\":{},\"engine_fallback\":false,",
             "\"optimize\":{},",
             "\"certificate\":{{\"version\":{},\"regime\":{},\"solver\":{},",
             "\"termination\":{}}},",
@@ -569,10 +557,8 @@ fn render_solve_json(
         ),
         pde_trace::REPORT_VERSION,
         json_escape(pde_analysis::certificate::solver_kind_str(report.kind)),
-        json_escape(engine),
         result,
         undecided,
-        report.engine_fallback,
         optimize,
         cert.version,
         json_escape(cert.regime.as_str()),
@@ -601,10 +587,14 @@ fn auto_lint(bundle: &Bundle, flags: &Flags) {
 }
 
 fn run(args: &[String]) -> Result<Verdict, String> {
-    let (args, flags) = split_flags(args)?;
-    if let Some(engine) = flags.chase_engine {
-        pde_chase::set_default_chase_engine(engine);
+    if matches!(
+        args.first().map(String::as_str),
+        Some("help" | "--help" | "-h")
+    ) {
+        outln!("{USAGE}");
+        return Ok(Verdict::Yes);
     }
+    let (args, flags) = split_flags(args)?;
     // Tracing sinks are process-global: install before dispatch, tear down
     // after so the stream is flushed (and the profile table printed) even
     // when a command returns early.
@@ -942,7 +932,6 @@ fn dispatch(
             outln!("solver:   {}", report.kind);
             outln!("elapsed:  {:?}", report.elapsed);
             if flags.stats {
-                outln!("engine:   {:?}", pde_chase::default_chase_engine());
                 match &opt {
                     Some(o) => {
                         outln!(
@@ -970,7 +959,6 @@ fn dispatch(
                     outln!("branches pruned:         {}", s.prunes);
                 }
                 let g = &report.governor;
-                outln!("engine fallback:         {}", report.engine_fallback);
                 outln!("governor checks:         {}", g.checks);
                 outln!("governor stops:          {}", g.stops);
                 outln!("peak instance bytes:     {}", g.peak_bytes);
@@ -1057,7 +1045,12 @@ fn dispatch(
             let bundle = load_bundle(args.get(1).ok_or("missing bundle path")?)?;
             let schema = bundle.setting.schema();
             let gen = pde_chase::null_gen_for(&bundle.input);
-            let st = chase_tgds(bundle.input.clone(), bundle.setting.sigma_st(), &gen);
+            let chase_tgds = |instance: Instance, tgds: &[Tgd]| {
+                let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
+                let mode = WitnessMode::FreshNulls(&gen);
+                chase(instance, &deps, mode, &ChaseOptions::default())
+            };
+            let st = chase_tgds(bundle.input.clone(), bundle.setting.sigma_st());
             if !st.is_success() {
                 return Err("Σst chase did not terminate".into());
             }
@@ -1066,7 +1059,7 @@ fn dispatch(
                 outln!("  {}{}", schema.name(rel), t);
             }
             let jcan = st.instance.restrict(Peer::Target);
-            let ts = chase_tgds(jcan, bundle.setting.sigma_ts(), &gen);
+            let ts = chase_tgds(jcan, bundle.setting.sigma_ts());
             if !ts.is_success() {
                 return Err("Σts chase did not terminate".into());
             }

@@ -14,7 +14,7 @@
 //!   recovered epoch and what was dropped.
 //! * `solve` on tractable settings reuses a shared Σst-chased instance,
 //!   re-chased incrementally off epoch deltas after each insert
-//!   ([`pde_chase::chase_incremental_governed`]) instead of from scratch;
+//!   ([`pde_chase::ChaseOptions::since`]) instead of from scratch;
 //!   retracts invalidate the cache (an incremental window is only sound
 //!   on top of a fixpoint) and the next solve re-chases fully.
 //! * Every request runs under its own [`Governor`] deadline/budget and
@@ -40,10 +40,7 @@
 //!   every degraded outcome leaves a postmortem artifact.
 
 use pde_analysis::plan_setting;
-use pde_chase::{
-    chase_governed_with, chase_incremental_governed, null_gen_for, ChaseLimits, ChaseOutcome,
-    WitnessMode,
-};
+use pde_chase::{chase, null_gen_for, ChaseOptions, ChaseOutcome, WitnessMode};
 use pde_constraints::Dependency;
 use pde_core::{
     certain_answers, exists_solution_from_chased, Bundle, GenericLimits, PdeSetting, TractableError,
@@ -794,7 +791,6 @@ fn handle_solve(
                     &state.setting,
                     &state.base,
                     &chased.instance,
-                    pde_chase::default_chase_engine(),
                     governor,
                 );
                 meta.solve_ns = ns_since(solve_start);
@@ -849,7 +845,7 @@ fn handle_solve(
 
 /// The general-purpose route: plan the setting afresh (static analysis,
 /// cheap next to the solve) and run the governed solver, which carries
-/// its own isolation and naive-engine retry ladder.
+/// its own panic isolation.
 fn solve_full(state: &mut ServeState, governor: &Governor) -> Result<Answer, String> {
     let cert = plan_setting(&state.setting, state.base.active_domain().len());
     let plan = cert.to_solve_plan();
@@ -889,7 +885,6 @@ enum RefreshOutcome {
 /// drops the possibly half-mutated instance instead of caching it.
 fn refresh_chased(state: &mut ServeState, governor: &Governor) -> RefreshOutcome {
     let covered = state.base.current_epoch();
-    let limits = ChaseLimits::default();
     let run = match state.chased.take() {
         Some(c) if c.covered == covered => {
             state.chased = Some(c);
@@ -916,15 +911,12 @@ fn refresh_chased(state: &mut ServeState, governor: &Governor) -> RefreshOutcome
             let deps = &state.st_deps;
             isolate(move || {
                 let gen = null_gen_for(&c.instance);
-                chase_incremental_governed(
-                    c.instance,
-                    deps,
-                    WitnessMode::FreshNulls(&gen),
-                    limits,
-                    governor,
-                    None,
-                    watermark,
-                )
+                let opts = ChaseOptions {
+                    governor: Some(governor),
+                    since: watermark,
+                    ..ChaseOptions::default()
+                };
+                chase(c.instance, deps, WitnessMode::FreshNulls(&gen), &opts)
             })
         }
         None => {
@@ -933,14 +925,11 @@ fn refresh_chased(state: &mut ServeState, governor: &Governor) -> RefreshOutcome
             let deps = &state.st_deps;
             isolate(move || {
                 let gen = null_gen_for(&input);
-                chase_governed_with(
-                    input,
-                    deps,
-                    WitnessMode::FreshNulls(&gen),
-                    limits,
-                    pde_chase::ChaseEngine::Seminaive,
-                    governor,
-                )
+                let opts = ChaseOptions {
+                    governor: Some(governor),
+                    ..ChaseOptions::default()
+                };
+                chase(input, deps, WitnessMode::FreshNulls(&gen), &opts)
             })
         }
     };

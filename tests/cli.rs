@@ -777,34 +777,22 @@ fn solve_stats_prints_chase_counters() {
     let out = run(&["solve", "--no-lint", "--stats", p.to_str().unwrap()]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("engine:   Seminaive"), "stdout: {stdout}");
     assert!(stdout.contains("chase rounds:"), "stdout: {stdout}");
     assert!(stdout.contains("triggers fired:"), "stdout: {stdout}");
     assert!(stdout.contains("skipped by delta:"), "stdout: {stdout}");
     assert!(stdout.contains("egd merges:"), "stdout: {stdout}");
+    // One engine, no fallback: neither is reported any more.
+    assert!(!stdout.contains("engine:"), "stdout: {stdout}");
+    assert!(!stdout.contains("engine fallback"), "stdout: {stdout}");
 
-    // The naive escape hatch decides the bundle identically and, by
-    // definition, skips nothing.
-    let out = run(&[
-        "solve",
-        "--no-lint",
-        "--chase",
-        "naive",
-        "--stats",
-        p.to_str().unwrap(),
-    ]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("engine:   Naive"), "stdout: {stdout}");
-    assert!(stdout.contains("solution exists"), "stdout: {stdout}");
-    assert!(
-        stdout.contains("skipped by delta:        0"),
-        "stdout: {stdout}"
-    );
-
-    // A bad engine name is a usage error.
-    let out = run(&["solve", "--chase", "magic", p.to_str().unwrap()]);
+    // There is no engine switch: `--chase` is an unknown flag.
+    let out = run(&["solve", "--chase", "naive", p.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("unknown flag '--chase'"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
@@ -857,10 +845,6 @@ fn solve_governed_budget_admits_normal_runs() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("solution exists"), "stdout: {stdout}");
-    assert!(
-        stdout.contains("engine fallback:         false"),
-        "stdout: {stdout}"
-    );
     assert!(stdout.contains("governor checks:"), "stdout: {stdout}");
     assert!(stdout.contains("peak instance bytes:"), "stdout: {stdout}");
     assert!(
@@ -894,4 +878,16 @@ fn usage_errors_exit_2() {
     let out = run(&["solve", "/nonexistent/x.pde"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8(out.stderr).unwrap().contains("usage:"));
+}
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_0() {
+    for arg in ["--help", "-h", "help"] {
+        let out = run(&[arg]);
+        assert_eq!(out.status.code(), Some(0), "{arg}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("usage:"), "{arg}: {stdout}");
+        assert!(!stdout.contains("--chase"), "{arg}: {stdout}");
+        assert!(out.stderr.is_empty(), "{arg}");
+    }
 }

@@ -16,6 +16,8 @@
 //!   static chase bounds dominate actual chase runs on random
 //!   weakly-acyclic settings.
 
+use pde_chase::oracle::chase_naive;
+use pde_chase::ChaseResult;
 use peer_data_exchange::core::{
     assignment, blocks, certain_answers, solution::is_solution, tractable, GenericLimits,
 };
@@ -23,6 +25,33 @@ use peer_data_exchange::prelude::*;
 use peer_data_exchange::workloads::{clique, graphs, paper, threecol};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
+
+/// The signature the chase and its naive oracle share.
+type Engine = fn(Instance, &[Dependency], WitnessMode<'_>, &ChaseOptions<'_>) -> ChaseResult;
+
+/// The naive oracle and the production chase, by name.
+const ENGINES: [(&str, Engine); 2] = [("naive", chase_naive), ("seminaive", chase)];
+
+/// Standard chase of `inst` under `opts`, with fresh nulls from 0.
+fn fresh_chase(
+    engine: Engine,
+    inst: Instance,
+    deps: &[Dependency],
+    opts: &ChaseOptions<'_>,
+) -> ChaseResult {
+    engine(
+        inst,
+        deps,
+        WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
+        opts,
+    )
+}
+
+/// Standard chase of `inst` with `tgds` under default options.
+fn chase_tgds(inst: Instance, tgds: &[Tgd]) -> ChaseResult {
+    let deps: Vec<Dependency> = tgds.iter().cloned().map(Dependency::Tgd).collect();
+    fresh_chase(chase, inst, &deps, &ChaseOptions::default())
+}
 
 /// A coarse "never worse" order over predicted complexity classes:
 /// tractable < bounded-but-intractable < unbounded. The optimizer must
@@ -68,8 +97,7 @@ proptest! {
     fn chase_result_satisfies_chased_tgds(edges in arb_edge_instance(4, 8)) {
         let p = paper::exact_view_setting();
         let input = edges_to_instance(&p, "E", &edges);
-        let gen = pde_relational::NullGen::new();
-        let res = pde_chase::chase_tgds(input.clone(), p.sigma_st(), &gen);
+        let res = chase_tgds(input.clone(), p.sigma_st());
         prop_assert!(res.is_success());
         let out = res.instance;
         prop_assert!(input.contained_in(&out));
@@ -91,11 +119,11 @@ proptest! {
                 .cloned()
                 .map(Dependency::Tgd)
                 .collect();
-            let res = pde_chase::solution_aware_chase(
+            let res = chase(
                 input.clone(),
                 &deps,
-                &solution,
-                ChaseLimits::default(),
+                WitnessMode::FromSolution(&solution),
+                &ChaseOptions::default(),
             );
             prop_assert!(res.is_success());
             let sub = res.instance;
@@ -261,8 +289,7 @@ proptest! {
             inst.active_domain().len().max(1),
         )
         .expect("weakly acyclic");
-        let gen = pde_relational::NullGen::new();
-        let res = pde_chase::chase_tgds(inst, &tgds, &gen);
+        let res = chase_tgds(inst, &tgds);
         prop_assert!(res.is_success());
         prop_assert!(res.steps <= bound.step_bound);
         prop_assert!(res.instance.fact_count() <= bound.fact_bound);
@@ -293,8 +320,7 @@ proptest! {
             .cloned()
             .chain(setting.target_tgds().cloned())
             .collect();
-        let gen = pde_relational::NullGen::new();
-        let res = pde_chase::chase_tgds(input, &forward, &gen);
+        let res = chase_tgds(input, &forward);
         prop_assert!(res.is_success());
         prop_assert!(
             res.steps <= cert.chase.step_bound,
@@ -310,12 +336,12 @@ proptest! {
     fn certified_termination_budget_suffices_for_governed_chase(
         seed in 0u64..256, n_t in 0u32..3
     ) {
-        // Any setting the termination hierarchy certifies must run
-        // `chase_governed_with` to a fixpoint within the certificate's
-        // derived budgets — never a `ResourceExceeded` or governor stop —
-        // on both engines. Random weakly acyclic settings exercise the
-        // weak-acyclicity criterion; two fixed non-WA shapes (the spiral
-        // and swap-rule bundles) exercise joint acyclicity and the
+        // Any setting the termination hierarchy certifies must run the
+        // governed chase to a fixpoint within the certificate's derived
+        // budgets — never a `ResourceExceeded` or governor stop — and so
+        // must the naive oracle. Random weakly acyclic settings exercise
+        // the weak-acyclicity criterion; two fixed non-WA shapes (the
+        // spiral and swap-rule bundles) exercise joint acyclicity and the
         // critical-instance check.
         use peer_data_exchange::workloads::random::{
             random_instance, random_weakly_acyclic_setting, RandomSettingParams,
@@ -361,15 +387,13 @@ proptest! {
                 max_steps: cert.budgets.chase_steps,
                 max_facts: cert.budgets.chase_facts,
             };
-            for engine in [pde_chase::ChaseEngine::Naive, pde_chase::ChaseEngine::Seminaive] {
-                let res = pde_chase::chase_governed_with(
-                    input.clone(),
-                    &deps,
-                    pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                    limits,
-                    engine,
-                    &gov,
-                );
+            let opts = ChaseOptions {
+                limits,
+                governor: Some(&gov),
+                ..ChaseOptions::default()
+            };
+            for (engine, run) in ENGINES {
+                let res = fresh_chase(run, input.clone(), &deps, &opts);
                 // An egd conflict (`Failure`) is a legitimate chase
                 // verdict; what the certificate rules out is running out
                 // of budget before reaching one.
@@ -378,7 +402,7 @@ proptest! {
                         res.outcome,
                         ChaseOutcome::ResourceExceeded | ChaseOutcome::Stopped { .. }
                     ),
-                    "{:?} chase exhausted the derived budget (steps {} / {}, facts {} / {}): {:?}",
+                    "{} chase exhausted the derived budget (steps {} / {}, facts {} / {}): {:?}",
                     engine,
                     res.steps,
                     limits.max_steps,
@@ -417,18 +441,9 @@ proptest! {
             .map(Dependency::Tgd)
             .chain(setting.sigma_t().iter().cloned())
             .collect();
-        let naive = pde_chase::chase_naive_with(
-            input.clone(),
-            &deps,
-            pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-            ChaseLimits::default(),
-        );
-        let semi = pde_chase::chase_seminaive_with(
-            input,
-            &deps,
-            pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-            ChaseLimits::default(),
-        );
+        let opts = ChaseOptions::default();
+        let naive = fresh_chase(chase_naive, input.clone(), &deps, &opts);
+        let semi = fresh_chase(chase, input, &deps, &opts);
         prop_assert_eq!(naive.is_success(), semi.is_success());
         prop_assert_eq!(naive.is_failure(), semi.is_failure());
         if naive.is_success() {
@@ -469,18 +484,9 @@ proptest! {
                 src.push_str(&format!("E(v{a}, v{b}). "));
             }
             let input = parse_instance(&schema, &src).unwrap();
-            let naive = pde_chase::chase_naive_with(
-                input.clone(),
-                &deps,
-                pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
-            );
-            let semi = pde_chase::chase_seminaive_with(
-                input,
-                &deps,
-                pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
-            );
+            let opts = ChaseOptions::default();
+            let naive = fresh_chase(chase_naive, input.clone(), &deps, &opts);
+            let semi = fresh_chase(chase, input, &deps, &opts);
             prop_assert_eq!(naive.is_success(), semi.is_success(), "{}", src_deps);
             if naive.is_success() {
                 prop_assert!(pde_chase::satisfies_all(&semi.instance, &deps));
@@ -552,20 +558,8 @@ proptest! {
         }
         let input = parse_instance(&schema, &src).unwrap();
         prop_assert_eq!(input.heap_bytes(), input.recount_heap_bytes());
-        for result in [
-            pde_chase::chase_naive_with(
-                input.clone(),
-                &deps,
-                pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
-            ),
-            pde_chase::chase_seminaive_with(
-                input.clone(),
-                &deps,
-                pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
-            ),
-        ] {
+        for (_, engine) in ENGINES {
+            let result = fresh_chase(engine, input.clone(), &deps, &ChaseOptions::default());
             prop_assert_eq!(
                 result.instance.heap_bytes(),
                 result.instance.recount_heap_bytes()
@@ -668,16 +662,15 @@ fn seminaive_step_log_respects_verified_certificate_bound() {
         .map(Dependency::Tgd)
         .chain(setting.sigma_t().iter().cloned())
         .collect();
-    let res = pde_chase::chase_seminaive_with(
-        input,
-        &deps,
-        pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-        ChaseLimits::from_bound(pde_constraints::ChaseBound {
+    let opts = ChaseOptions {
+        limits: ChaseLimits::from_bound(pde_constraints::ChaseBound {
             step_bound: cert.chase.step_bound,
             fact_bound: cert.chase.fact_bound,
             value_bound: cert.chase.value_bound,
         }),
-    );
+        ..ChaseOptions::default()
+    };
+    let res = fresh_chase(chase, input, &deps, &opts);
     assert!(res.is_success(), "chase completes within certified budgets");
     assert_eq!(res.log.len(), res.steps, "one record per applied step");
     assert!(
@@ -741,8 +734,8 @@ proptest! {
     ) {
         // Differential, data-exchange route (Σts = ∅): solving the
         // optimized setting under its stratified schedule gives the same
-        // yes/no answer as solving the original unscheduled — on both
-        // chase engines (the naive engine deliberately ignores schedules).
+        // yes/no answer as solving the original unscheduled, and both
+        // agree with the naive oracle's chase (which ignores schedules).
         use peer_data_exchange::core::data_exchange::solve_data_exchange_governed_scheduled;
         use peer_data_exchange::workloads::random::{
             random_instance, random_weakly_acyclic_setting, RandomSettingParams,
@@ -760,18 +753,20 @@ proptest! {
         prop_assert!(pde_analysis::verify_rewrite(&setting, &input, &opt.certificate).is_ok());
         let schedule = pde_analysis::forward_schedule(&opt.optimized);
         let gov = Governor::unlimited();
-        let mut answers = Vec::new();
-        for engine in [pde_chase::ChaseEngine::Naive, pde_chase::ChaseEngine::Seminaive] {
-            let base = solve_data_exchange_governed_scheduled(
-                &setting, &input, ChaseLimits::default(), engine, &gov, None,
-            )
-            .unwrap();
-            let rewritten = solve_data_exchange_governed_scheduled(
-                &opt.optimized, &input, ChaseLimits::default(), engine, &gov, Some(&schedule),
-            )
-            .unwrap();
-            answers.push(base.exists);
-            answers.push(rewritten.exists);
+        let base = solve_data_exchange_governed_scheduled(
+            &setting, &input, ChaseLimits::default(), &gov, None,
+        )
+        .unwrap();
+        let rewritten = solve_data_exchange_governed_scheduled(
+            &opt.optimized, &input, ChaseLimits::default(), &gov, Some(&schedule),
+        )
+        .unwrap();
+        let mut answers = vec![base.exists, rewritten.exists];
+        for s in [&setting, &opt.optimized] {
+            let deps = pde_analysis::forward_dependencies(s);
+            let naive = fresh_chase(chase_naive, input.clone(), &deps, &ChaseOptions::default());
+            prop_assert!(naive.is_success() || naive.is_failure(), "{:?}", naive.outcome);
+            answers.push(naive.is_success());
         }
         prop_assert!(
             answers.windows(2).all(|w| w[0] == w[1]),
@@ -783,8 +778,8 @@ proptest! {
     fn optimizer_preserves_assignment_and_certain_answers(seed in 0u64..256) {
         // Differential, peer route (Σts ≠ ∅, Σt = ∅): the complete
         // assignment search returns the same yes/no answer on the
-        // optimized setting, on both chase engines; certain answers over a
-        // target relation are identical as sets.
+        // optimized setting; certain answers over a target relation are
+        // identical as sets.
         use peer_data_exchange::workloads::random::{
             random_instance, random_weakly_acyclic_setting, RandomSettingParams,
         };
@@ -796,16 +791,9 @@ proptest! {
         let input = random_instance(&setting, 4, 0, 3, seed ^ 0xd1ce);
         let opt = pde_analysis::optimize_setting(&setting, &input);
         prop_assert!(pde_analysis::verify_rewrite(&setting, &input, &opt.certificate).is_ok());
-        let gov = Governor::unlimited();
-        for engine in [pde_chase::ChaseEngine::Naive, pde_chase::ChaseEngine::Seminaive] {
-            let base = assignment::solve_governed(&setting, &input, engine, &gov).unwrap();
-            let rewritten =
-                assignment::solve_governed(&opt.optimized, &input, engine, &gov).unwrap();
-            prop_assert_eq!(
-                base.exists, rewritten.exists,
-                "assignment search disagrees on {:?}", engine
-            );
-        }
+        let base = assignment::solve(&setting, &input).unwrap();
+        let rewritten = assignment::solve(&opt.optimized, &input).unwrap();
+        prop_assert_eq!(base.exists, rewritten.exists, "assignment search disagrees");
         // Certain answers over the first target relation.
         let schema = setting.schema();
         let rel = schema.rels_of(pde_relational::Peer::Target).next().unwrap();
@@ -836,17 +824,12 @@ proptest! {
         let deps = pde_analysis::forward_dependencies(&setting);
         let schedule = pde_analysis::forward_schedule(&setting);
         prop_assert!(schedule.is_partition_of(deps.len()));
-        let gov = Governor::unlimited();
-        let run = |sched: Option<&pde_chase::DepSchedule>| {
-            pde_chase::chase_governed_scheduled(
-                input.clone(),
-                &deps,
-                pde_chase::WitnessMode::FreshNulls(&pde_relational::NullGen::new()),
-                ChaseLimits::default(),
-                pde_chase::ChaseEngine::Seminaive,
-                &gov,
-                sched,
-            )
+        let run = |schedule: Option<&pde_chase::DepSchedule>| {
+            let opts = ChaseOptions {
+                schedule,
+                ..ChaseOptions::default()
+            };
+            fresh_chase(chase, input.clone(), &deps, &opts)
         };
         let flat = run(None);
         let strat = run(Some(&schedule));

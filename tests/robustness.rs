@@ -4,10 +4,10 @@
 //!   mid-chase reports a structured `Undecided { reason }` — never a wrong
 //!   answer — and leaves the caller's input `Instance` unmodified;
 //! * under deterministic fault injection (`--features fault-injection`),
-//!   every `FaultPlan` point yields either the oracle's answer (after the
-//!   naive-engine retry) or a structured stop — zero wrong answers, zero
-//!   escaped panics, across random weakly acyclic settings and all four
-//!   solver routes.
+//!   every `FaultPlan` point yields either the oracle's answer, a
+//!   structured stop, or a contained engine panic — zero wrong answers,
+//!   zero escaped panics, across random weakly acyclic settings and all
+//!   four solver routes.
 
 use pde_core::SolvePlan;
 use peer_data_exchange::prelude::*;
@@ -226,32 +226,42 @@ mod faults {
     }
 
     #[test]
-    fn alloc_and_panic_faults_degrade_to_the_naive_engine() {
+    fn alloc_and_panic_faults_surface_without_a_retry() {
         // On the chase-heavy transitive setting the step-indexed faults
-        // always fire in the semi-naive engine; the retry on the naive
-        // oracle engine must still produce the true answer.
+        // always fire in the chase. There is no retry on another engine:
+        // an allocation fault is undecided with its reason, and a panic
+        // is a contained `SolveError::Engine` — never a wrong answer.
         let setting = super::transitive_setting();
         let input = super::cycle_input(&setting, 5);
         let plan = SolvePlan::for_setting(&setting);
         let oracle = decide_with_plan(&setting, &input, &plan).unwrap();
         assert_eq!(oracle.exists, Some(true));
-        for fault in [
+
+        let governor = peer_data_exchange::runtime::Governor::with_faults(
+            GovernorConfig::default(),
             FaultPlan {
                 fail_alloc_at_step: Some(1),
                 ..FaultPlan::default()
             },
+        );
+        let report = decide_governed(&setting, &input, &plan, &governor).unwrap();
+        assert_eq!(report.exists, None);
+        assert!(
+            matches!(report.undecided, Some(StopReason::FaultInjected { .. })),
+            "{:?}",
+            report.undecided
+        );
+
+        let governor = peer_data_exchange::runtime::Governor::with_faults(
+            GovernorConfig::default(),
             FaultPlan {
                 panic_in_trigger_at_step: Some(1),
                 ..FaultPlan::default()
             },
-        ] {
-            let governor = peer_data_exchange::runtime::Governor::with_faults(
-                GovernorConfig::default(),
-                fault.clone(),
-            );
-            let report = decide_governed(&setting, &input, &plan, &governor).unwrap();
-            assert_eq!(report.exists, oracle.exists, "under {fault:?}");
-            assert!(report.engine_fallback, "retry expected under {fault:?}");
+        );
+        match decide_governed(&setting, &input, &plan, &governor) {
+            Err(SolveError::Engine(e)) => assert!(e.to_string().contains("injected panic")),
+            other => panic!("expected a contained engine panic, got {other:?}"),
         }
     }
 }

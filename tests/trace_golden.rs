@@ -12,7 +12,8 @@
 //!   inputs: trace span fields, `ChaseStats` counters, and the
 //!   `StepRecord` provenance log.
 
-use pde_chase::{chase_naive_with, chase_seminaive_with, ChaseLimits, ChaseResult, WitnessMode};
+use pde_chase::oracle::chase_naive;
+use pde_chase::{chase, ChaseOptions, ChaseResult, WitnessMode};
 use pde_constraints::Dependency;
 use pde_core::PdeSetting;
 use pde_relational::NullGen;
@@ -95,11 +96,11 @@ fn golden_span_sequence_for_seminaive_chase() {
     let deps: Vec<Dependency> = p.sigma_st().iter().cloned().map(Dependency::Tgd).collect();
     let gen = NullGen::new();
     let spans = collect_spans(|| {
-        let res = chase_seminaive_with(
+        let res = chase(
             input,
             &deps,
             WitnessMode::FreshNulls(&gen),
-            ChaseLimits::default(),
+            &ChaseOptions::default(),
         );
         assert!(res.is_success());
     });
@@ -487,20 +488,16 @@ fn check_accounting_layers_agree(
     let gen = NullGen::new();
     let mut result: Option<ChaseResult> = None;
     let spans = collect_spans(|| {
-        let res = match engine {
-            "naive" => chase_naive_with(
-                input.clone(),
-                deps,
-                WitnessMode::FreshNulls(&gen),
-                ChaseLimits::default(),
-            ),
-            _ => chase_seminaive_with(
-                input.clone(),
-                deps,
-                WitnessMode::FreshNulls(&gen),
-                ChaseLimits::default(),
-            ),
+        let run = match engine {
+            "naive" => chase_naive,
+            _ => chase,
         };
+        let res = run(
+            input.clone(),
+            deps,
+            WitnessMode::FreshNulls(&gen),
+            &ChaseOptions::default(),
+        );
         result = Some(res);
     });
     let res = result.expect("chase ran");
