@@ -31,7 +31,7 @@ use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::{GenericLimits, PdeSetting, SolvePlan, SolverKind};
 use pde_relational::{Position, Schema, Term, Var};
 use pde_runtime::GovernorConfig;
-use pde_trace::json_escape;
+use pde_trace::{json_escape, Json};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -343,7 +343,7 @@ pub const GOVERNOR_BYTES_PER_FACT: usize = pde_relational::BYTES_PER_FACT_BUDGET
 pub const GOVERNOR_SLACK_BYTES: usize = 1 << 20;
 
 impl Certificate {
-    /// Convert to a [`SolvePlan`] for `pde_core::decide_with_plan`.
+    /// Convert to a [`SolvePlan`] for `pde_core::decide_governed_scheduled`.
     pub fn to_solve_plan(&self) -> SolvePlan {
         SolvePlan {
             kind: self.recommended_solver,
@@ -1226,21 +1226,23 @@ impl Certificate {
     /// [`CertificateError::Malformed`]; semantic validity is the job of
     /// [`verify_certificate`].
     pub fn from_json(src: &str) -> Result<Certificate, CertificateError> {
-        let v = json::parse(src).map_err(CertificateError::Malformed)?;
-        let top = v.as_obj("certificate")?;
-        let version = top.get_num("version")?;
-        let version = u32::try_from(version)
-            .map_err(|_| CertificateError::Malformed("version out of range".into()))?;
-        let regime = Regime::from_str(&top.get_str("regime")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown regime".into()))?;
-        let sol_complexity = ComplexityClass::from_str(&top.get_str("sol_complexity")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown sol_complexity".into()))?;
-        let certain_complexity = ComplexityClass::from_str(&top.get_str("certain_complexity")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown certain_complexity".into()))?;
-        let recommended_solver = solver_kind_from_str(&top.get_str("recommended_solver")?)
-            .ok_or_else(|| CertificateError::Malformed("unknown recommended_solver".into()))?;
+        Json::parse(src)
+            .and_then(|v| Self::from_json_value(&v))
+            .map_err(CertificateError::Malformed)
+    }
 
-        let cv = top.field_of("chase")?;
+    fn from_json_value(v: &Json) -> Result<Certificate, String> {
+        let top = v.as_obj("certificate")?;
+        let version = u32::try_from(top.get_num("version")?).map_err(|_| "version out of range")?;
+        let regime = Regime::from_str(&top.get_str("regime")?).ok_or("unknown regime")?;
+        let sol_complexity = ComplexityClass::from_str(&top.get_str("sol_complexity")?)
+            .ok_or("unknown sol_complexity")?;
+        let certain_complexity = ComplexityClass::from_str(&top.get_str("certain_complexity")?)
+            .ok_or("unknown certain_complexity")?;
+        let recommended_solver = solver_kind_from_str(&top.get_str("recommended_solver")?)
+            .ok_or("unknown recommended_solver")?;
+
+        let cv = top.field("chase")?;
         let co = cv.as_obj("chase")?;
         let mut ranks = Vec::new();
         for item in cv.get_arr("ranks")? {
@@ -1268,7 +1270,7 @@ impl Certificate {
                 special: o.get_bool("special")?,
             });
         }
-        let termination = TerminationCertificate::from_json_value(co.field_of("termination")?)?;
+        let termination = TerminationCertificate::from_json_value(co.field("termination")?)?;
         let chase = ChaseCertificate {
             weakly_acyclic: co.get_bool("weakly_acyclic")?,
             ranks,
@@ -1282,7 +1284,7 @@ impl Certificate {
             termination,
         };
 
-        let tv = top.field_of("tract")?;
+        let tv = top.field("tract")?;
         let to = tv.as_obj("tract")?;
         let mut marked_positions = Vec::new();
         for item in tv.get_arr("marked_positions")? {
@@ -1294,32 +1296,26 @@ impl Certificate {
         }
         let mut marked_variables = Vec::new();
         for item in tv.get_arr("marked_variables")? {
-            let json::Json::Arr(inner) = item else {
-                return Err(CertificateError::Malformed(
-                    "marked_variables[] must be an array".into(),
-                ));
+            let Json::Arr(inner) = item else {
+                return Err("marked_variables[] must be an array".into());
             };
             let mut vars = Vec::new();
             for v in inner {
-                let json::Json::Str(s) = v else {
-                    return Err(CertificateError::Malformed(
-                        "marked_variables[][] must be a string".into(),
-                    ));
+                let Json::Str(s) = v else {
+                    return Err("marked_variables[][] must be a string".into());
                 };
                 vars.push(s.clone());
             }
             marked_variables.push(vars);
         }
-        let counterexample = match to.try_get("counterexample") {
+        let counterexample = match to.get("counterexample") {
             None => None,
             Some(cxv) => {
                 let o = cxv.as_obj("counterexample")?;
                 let mut vars = Vec::new();
                 for v in cxv.get_arr("vars")? {
-                    let json::Json::Str(s) = v else {
-                        return Err(CertificateError::Malformed(
-                            "counterexample vars must be strings".into(),
-                        ));
+                    let Json::Str(s) = v else {
+                        return Err("counterexample vars must be strings".into());
                     };
                     vars.push(s.clone());
                 }
@@ -1342,7 +1338,7 @@ impl Certificate {
             counterexample,
         };
 
-        let bo = top.field_of("budgets")?.as_obj("budgets")?;
+        let bo = top.field("budgets")?.as_obj("budgets")?;
         let budgets = Budgets {
             chase_steps: bo.get_num("chase_steps")?,
             chase_facts: bo.get_num("chase_facts")?,
@@ -1362,261 +1358,3 @@ impl Certificate {
         })
     }
 }
-
-/// Minimal JSON reader: just enough to load certificates back. The
-/// workspace deliberately has no serialization dependency, so parsing is
-/// hand-rolled like the writers. Shared crate-internally with the rewrite
-/// certificate loader ([`crate::rewrite`]).
-pub(crate) mod json {
-    use super::CertificateError;
-
-    /// A parsed JSON value. Numbers are restricted to the unsigned
-    /// integers the certificate uses.
-    #[derive(Clone, Debug, PartialEq)]
-    pub(crate) enum Json {
-        Null,
-        Bool(bool),
-        Num(u128),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        pub(crate) fn as_obj<'a>(
-            &'a self,
-            what: &str,
-        ) -> Result<&'a [(String, Json)], CertificateError> {
-            match self {
-                Json::Obj(fields) => Ok(fields),
-                _ => Err(CertificateError::Malformed(format!(
-                    "{what} must be an object"
-                ))),
-            }
-        }
-
-        fn field<'a>(&'a self, key: &str) -> Option<&'a Json> {
-            match self {
-                Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn get_arr<'a>(&'a self, key: &str) -> Result<&'a [Json], CertificateError> {
-            match self.field(key) {
-                Some(Json::Arr(items)) => Ok(items),
-                _ => Err(CertificateError::Malformed(format!(
-                    "missing array field '{key}'"
-                ))),
-            }
-        }
-    }
-
-    /// Field accessors on an object's field list.
-    pub(crate) trait ObjExt {
-        fn try_get(&self, key: &str) -> Option<&Json>;
-        fn field_of(&self, key: &str) -> Result<&Json, CertificateError>;
-        fn get_str(&self, key: &str) -> Result<String, CertificateError>;
-        fn get_bool(&self, key: &str) -> Result<bool, CertificateError>;
-        fn get_num(&self, key: &str) -> Result<usize, CertificateError>;
-    }
-
-    impl ObjExt for [(String, Json)] {
-        fn try_get(&self, key: &str) -> Option<&Json> {
-            self.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-
-        fn field_of(&self, key: &str) -> Result<&Json, CertificateError> {
-            self.try_get(key)
-                .ok_or_else(|| CertificateError::Malformed(format!("missing field '{key}'")))
-        }
-
-        fn get_str(&self, key: &str) -> Result<String, CertificateError> {
-            match self.field_of(key)? {
-                Json::Str(s) => Ok(s.clone()),
-                _ => Err(CertificateError::Malformed(format!(
-                    "field '{key}' must be a string"
-                ))),
-            }
-        }
-
-        fn get_bool(&self, key: &str) -> Result<bool, CertificateError> {
-            match self.field_of(key)? {
-                Json::Bool(b) => Ok(*b),
-                _ => Err(CertificateError::Malformed(format!(
-                    "field '{key}' must be a boolean"
-                ))),
-            }
-        }
-
-        fn get_num(&self, key: &str) -> Result<usize, CertificateError> {
-            match self.field_of(key)? {
-                Json::Num(n) => Ok(usize::try_from(*n).unwrap_or(usize::MAX)),
-                _ => Err(CertificateError::Malformed(format!(
-                    "field '{key}' must be an unsigned integer"
-                ))),
-            }
-        }
-    }
-
-    pub(crate) fn parse(src: &str) -> Result<Json, String> {
-        let bytes = src.as_bytes();
-        let mut at = 0usize;
-        let v = value(bytes, &mut at)?;
-        skip_ws(bytes, &mut at);
-        if at != bytes.len() {
-            return Err(format!("trailing content at byte {at}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], at: &mut usize) {
-        while *at < b.len() && matches!(b[*at], b' ' | b'\t' | b'\n' | b'\r') {
-            *at += 1;
-        }
-    }
-
-    fn expect(b: &[u8], at: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, at);
-        if *at < b.len() && b[*at] == c {
-            *at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {at}", c as char))
-        }
-    }
-
-    fn value(b: &[u8], at: &mut usize) -> Result<Json, String> {
-        skip_ws(b, at);
-        match b.get(*at) {
-            Some(b'{') => {
-                *at += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, at);
-                if b.get(*at) == Some(&b'}') {
-                    *at += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, at);
-                    let key = match string(b, at)? {
-                        Json::Str(s) => s,
-                        _ => unreachable!(),
-                    };
-                    expect(b, at, b':')?;
-                    let v = value(b, at)?;
-                    fields.push((key, v));
-                    skip_ws(b, at);
-                    match b.get(*at) {
-                        Some(b',') => *at += 1,
-                        Some(b'}') => {
-                            *at += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {at}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *at += 1;
-                let mut items = Vec::new();
-                skip_ws(b, at);
-                if b.get(*at) == Some(&b']') {
-                    *at += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(value(b, at)?);
-                    skip_ws(b, at);
-                    match b.get(*at) {
-                        Some(b',') => *at += 1,
-                        Some(b']') => {
-                            *at += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {at}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, at),
-            Some(b't') if b[*at..].starts_with(b"true") => {
-                *at += 4;
-                Ok(Json::Bool(true))
-            }
-            Some(b'f') if b[*at..].starts_with(b"false") => {
-                *at += 5;
-                Ok(Json::Bool(false))
-            }
-            Some(b'n') if b[*at..].starts_with(b"null") => {
-                *at += 4;
-                Ok(Json::Null)
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let start = *at;
-                while *at < b.len() && b[*at].is_ascii_digit() {
-                    *at += 1;
-                }
-                let digits = std::str::from_utf8(&b[start..*at]).expect("ascii digits");
-                digits
-                    .parse::<u128>()
-                    .map(Json::Num)
-                    .map_err(|_| format!("number out of range at byte {start}"))
-            }
-            _ => Err(format!("unexpected input at byte {at}")),
-        }
-    }
-
-    fn string(b: &[u8], at: &mut usize) -> Result<Json, String> {
-        if b.get(*at) != Some(&b'"') {
-            return Err(format!("expected string at byte {at}"));
-        }
-        *at += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*at) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *at += 1;
-                    return Ok(Json::Str(out));
-                }
-                Some(b'\\') => {
-                    *at += 1;
-                    match b.get(*at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*at + 1..*at + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_owned())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "bad \\u code point".to_owned())?,
-                            );
-                            *at += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {at}")),
-                    }
-                    *at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&b[*at..])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    *at += c.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-use json::ObjExt as _;

@@ -2,7 +2,7 @@
 //!
 //! Nodes are the dependencies the data-exchange chase executes, in solve
 //! order (Σst tgds first, then Σt — the same order
-//! `solve_data_exchange_governed` builds). Each node gets a read set (its
+//! `solve_data_exchange` builds). Each node gets a read set (its
 //! premise positions) and a write set (its conclusion positions); an egd's
 //! merges can rewrite values anywhere a labeled null reaches, so an egd
 //! conservatively writes *every* position of *every* target relation

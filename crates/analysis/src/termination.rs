@@ -36,7 +36,7 @@ use crate::certificate::{bound_params, evaluate_bound, forward_tgds, Certificate
 use pde_constraints::{DependencyGraph, Tgd};
 use pde_core::PdeSetting;
 use pde_relational::{Position, RelId, Schema, Term, Var};
-use pde_trace::json_escape;
+use pde_trace::{json_escape, Json};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -966,41 +966,35 @@ impl TerminationCertificate {
     /// Parse the JSON section back (shape only; semantic validity is the
     /// job of [`verify_termination`]).
     pub fn from_json(src: &str) -> Result<TerminationCertificate, CertificateError> {
-        let v = crate::certificate::json::parse(src).map_err(CertificateError::Malformed)?;
-        Self::from_json_value(&v)
+        Json::parse(src)
+            .and_then(|v| Self::from_json_value(&v))
+            .map_err(CertificateError::Malformed)
     }
 
-    pub(crate) fn from_json_value(
-        v: &crate::certificate::json::Json,
-    ) -> Result<TerminationCertificate, CertificateError> {
-        use crate::certificate::json::{Json, ObjExt};
+    pub(crate) fn from_json_value(v: &Json) -> Result<TerminationCertificate, String> {
         let top = v.as_obj("termination")?;
-        let version = u32::try_from(top.get_num("v")?)
-            .map_err(|_| CertificateError::Malformed("termination version out of range".into()))?;
+        let version =
+            u32::try_from(top.get_num("v")?).map_err(|_| "termination version out of range")?;
         let adom_size = top.get_num("adom_size")?;
-        let criterion = match top.field_of("criterion")? {
+        let criterion = match top.field("criterion")? {
             Json::Null => None,
-            Json::Str(s) => Some(TerminationCriterion::from_str(s).ok_or_else(|| {
-                CertificateError::Malformed(format!("unknown termination criterion '{s}'"))
-            })?),
-            _ => {
-                return Err(CertificateError::Malformed(
-                    "criterion must be a string or null".into(),
-                ))
-            }
+            Json::Str(s) => Some(
+                TerminationCriterion::from_str(s)
+                    .ok_or_else(|| format!("unknown termination criterion '{s}'"))?,
+            ),
+            _ => return Err("criterion must be a string or null".into()),
         };
         let mut trail = Vec::new();
         for item in v.get_arr("trail")? {
             let o = item.as_obj("trail[]")?;
             let c = o.get_str("criterion")?;
             trail.push(CriterionCheck {
-                criterion: TerminationCriterion::from_str(&c).ok_or_else(|| {
-                    CertificateError::Malformed(format!("unknown trail criterion '{c}'"))
-                })?,
+                criterion: TerminationCriterion::from_str(&c)
+                    .ok_or_else(|| format!("unknown trail criterion '{c}'"))?,
                 holds: o.get_bool("holds")?,
             });
         }
-        let wv = top.field_of("witness")?;
+        let wv = top.field("witness")?;
         let wo = wv.as_obj("witness")?;
         let witness = match wo.get_str("kind")?.as_str() {
             "ranks" => TerminationWitness::Ranks,
@@ -1025,11 +1019,7 @@ impl TerminationCertificate {
                 limit: wo.get_num("limit")?,
             },
             "none" => TerminationWitness::None,
-            other => {
-                return Err(CertificateError::Malformed(format!(
-                    "unknown witness kind '{other}'"
-                )))
-            }
+            other => return Err(format!("unknown witness kind '{other}'")),
         };
         Ok(TerminationCertificate {
             version,

@@ -7,12 +7,15 @@
 //! clique search, whose time is also reported as the baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pde_core::assignment;
+use pde_core::assignment::{self, DisjunctiveProblem};
+use pde_runtime::Governor;
 use pde_workloads::clique::{clique_instance, clique_setting};
 use pde_workloads::{has_k_clique, Graph};
 
 fn bench(c: &mut Criterion) {
     let setting = clique_setting();
+    let problem = DisjunctiveProblem::from_setting(&setting).unwrap();
+    let governor = Governor::unlimited();
     let k = 3;
     let mut rows = Vec::new();
     let mut g = c.benchmark_group("e03_clique_np");
@@ -28,7 +31,7 @@ fn bench(c: &mut Criterion) {
                 &input,
                 |b, input| {
                     b.iter(|| {
-                        let out = assignment::solve(&setting, input).unwrap();
+                        let out = assignment::solve(&problem, input, &governor).unwrap();
                         assert_eq!(out.exists, expected);
                         out.exists
                     });
@@ -40,7 +43,7 @@ fn bench(c: &mut Criterion) {
                 |b, graph| b.iter(|| has_k_clique(graph, k)),
             );
             let ms = pde_bench::time_ms(|| {
-                let _ = assignment::solve(&setting, &input).unwrap();
+                let _ = assignment::solve(&problem, &input, &governor).unwrap();
             });
             let direct_ms = pde_bench::time_ms(|| {
                 let _ = has_k_clique(graph, k);

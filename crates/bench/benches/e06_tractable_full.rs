@@ -7,11 +7,15 @@
 //! and keep winning as sizes grow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pde_core::{assignment, tractable};
+use pde_core::assignment::{self, DisjunctiveProblem};
+use pde_core::tractable;
+use pde_runtime::Governor;
 use pde_workloads::full::{full_setting, full_solvable_instance};
 
 fn bench(c: &mut Criterion) {
     let setting = full_setting();
+    let problem = DisjunctiveProblem::from_setting(&setting).unwrap();
+    let governor = Governor::unlimited();
     let mut rows = Vec::new();
     let mut g = c.benchmark_group("e06_tractable_full");
     g.sample_size(10);
@@ -34,7 +38,7 @@ fn bench(c: &mut Criterion) {
         // on these solvable instances it terminates quickly too, yet the
         // polynomial algorithm dominates as sizes grow.
         let slow_ms = pde_bench::time_ms(|| {
-            let _ = assignment::solve(&setting, &input).unwrap();
+            let _ = assignment::solve(&problem, &input, &governor).unwrap();
         });
         rows.push((
             format!("2 cliques × {size}"),

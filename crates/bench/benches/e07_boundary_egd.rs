@@ -4,7 +4,7 @@
 //! algorithm; its time explodes on the no-instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pde_core::{generic, GenericLimits};
+use pde_bench::witness_search;
 use pde_workloads::boundary::{egd_boundary_instance, egd_boundary_setting};
 use pde_workloads::{has_k_clique, Graph};
 
@@ -23,19 +23,16 @@ fn bench(c: &mut Criterion) {
         let expected = has_k_clique(&graph, k);
         g.bench_with_input(BenchmarkId::new(label, k), &input, |b, input| {
             b.iter(|| {
-                let out = generic::solve(&setting, input, GenericLimits::default()).unwrap();
-                assert_eq!(out.decided(), Some(expected));
+                assert_eq!(witness_search(&setting, input).0, Some(expected));
             });
         });
-        let out = generic::solve(&setting, &input, GenericLimits::default()).unwrap();
+        let (verdict, stats) = witness_search(&setting, &input);
         rows.push((
             label,
-            format!("decided={:?}", out.decided()),
+            format!("decided={verdict:?}"),
             format!(
                 "nodes={} ts_prunes={} egd_failures={}",
-                out.stats().nodes,
-                out.stats().ts_prunes,
-                out.stats().egd_failures
+                stats.nodes, stats.ts_prunes, stats.egd_failures
             ),
         ));
     }

@@ -2,7 +2,7 @@
 //! tgd** (plus the copy relations `S`/`S2`) is NP-hard as well.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pde_core::{generic, GenericLimits};
+use pde_bench::witness_search;
 use pde_workloads::boundary::{full_tgd_boundary_instance, full_tgd_boundary_setting};
 use pde_workloads::{has_k_clique, Graph};
 
@@ -20,15 +20,14 @@ fn bench(c: &mut Criterion) {
         let expected = has_k_clique(&graph, k);
         g.bench_with_input(BenchmarkId::new(label, k), &input, |b, input| {
             b.iter(|| {
-                let out = generic::solve(&setting, input, GenericLimits::default()).unwrap();
-                assert_eq!(out.decided(), Some(expected));
+                assert_eq!(witness_search(&setting, input).0, Some(expected));
             });
         });
-        let out = generic::solve(&setting, &input, GenericLimits::default()).unwrap();
+        let (verdict, stats) = witness_search(&setting, &input);
         rows.push((
             label,
-            format!("decided={:?}", out.decided()),
-            format!("nodes={}", out.stats().nodes),
+            format!("decided={verdict:?}"),
+            format!("nodes={}", stats.nodes),
         ));
     }
     g.finish();

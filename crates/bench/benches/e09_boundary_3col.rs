@@ -4,12 +4,14 @@
 //! colorer, whose time is the baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pde_core::assignment::solve_disjunctive;
+use pde_core::assignment;
+use pde_runtime::Governor;
 use pde_workloads::threecol::{threecol_instance, threecol_problem};
 use pde_workloads::{is_three_colorable, Graph};
 
 fn bench(c: &mut Criterion) {
     let problem = threecol_problem();
+    let governor = Governor::unlimited();
     let mut rows = Vec::new();
     let mut g = c.benchmark_group("e09_boundary_3col");
     g.sample_size(10);
@@ -24,12 +26,12 @@ fn bench(c: &mut Criterion) {
         let expected = is_three_colorable(&graph);
         g.bench_with_input(BenchmarkId::from_parameter(label), &input, |b, input| {
             b.iter(|| {
-                let out = solve_disjunctive(&problem, input).unwrap();
+                let out = assignment::solve(&problem, input, &governor).unwrap();
                 assert_eq!(out.exists, expected);
             });
         });
         let pde_ms = pde_bench::time_ms(|| {
-            let _ = solve_disjunctive(&problem, &input).unwrap();
+            let _ = assignment::solve(&problem, &input, &governor).unwrap();
         });
         let direct_ms = pde_bench::time_ms(|| {
             let _ = is_three_colorable(&graph);

@@ -6,8 +6,10 @@
 //! the paper's complexity comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pde_chase::ChaseLimits;
 use pde_core::{data_exchange, PdeSetting};
 use pde_relational::parse_instance;
+use pde_runtime::Governor;
 
 fn setting() -> PdeSetting {
     PdeSetting::parse(
@@ -17,6 +19,12 @@ fn setting() -> PdeSetting {
         "H(x, y) -> K(x, y)",
     )
     .unwrap()
+}
+
+/// The ungoverned, unscheduled data-exchange chase.
+fn solve(p: &PdeSetting, input: &pde_relational::Instance) -> data_exchange::DataExchangeOutcome {
+    let governor = Governor::unlimited();
+    data_exchange::solve_data_exchange(p, input, ChaseLimits::default(), None, &governor).unwrap()
 }
 
 fn bench(c: &mut Criterion) {
@@ -32,12 +40,12 @@ fn bench(c: &mut Criterion) {
         let input = parse_instance(p.schema(), &src).unwrap();
         g.bench_with_input(BenchmarkId::new("chase", n), &input, |b, input| {
             b.iter(|| {
-                let out = data_exchange::solve_data_exchange(&p, input).unwrap();
+                let out = solve(&p, input);
                 assert!(out.exists, "DE with weakly acyclic Σt always solvable here");
                 out.chase_steps
             });
         });
-        let out = data_exchange::solve_data_exchange(&p, &input).unwrap();
+        let out = solve(&p, &input);
         rows.push((n, out.chase_steps, out.canonical.unwrap().fact_count()));
     }
     g.finish();

@@ -7,7 +7,11 @@
 //! complexity results predict can be read directly off `cargo bench`
 //! output.
 
+use pde_core::{generic, GenericLimits, GenericStats, PdeSetting};
+use pde_relational::Instance;
+use pde_runtime::Governor;
 use std::fmt::Display;
+use std::ops::ControlFlow;
 
 /// Print a labeled series table to stderr (Criterion owns stdout).
 pub fn print_series<A: Display, B: Display>(
@@ -40,6 +44,26 @@ pub fn time_ms(mut f: impl FnMut()) -> f64 {
     let t = std::time::Instant::now();
     f();
     t.elapsed().as_secs_f64() * 1e3
+}
+
+/// The witness-chase search to its first solution: the verdict (`None`
+/// when a limit cut it short) and the search counters.
+pub fn witness_search(setting: &PdeSetting, input: &Instance) -> (Option<bool>, GenericStats) {
+    let mut found = false;
+    let governor = Governor::unlimited();
+    let limits = GenericLimits::default();
+    let (stats, exhausted, _) =
+        generic::for_each_solution(setting, input, limits, &governor, |_| {
+            found = true;
+            ControlFlow::Break(())
+        })
+        .unwrap();
+    let verdict = if found {
+        Some(true)
+    } else {
+        exhausted.then_some(false)
+    };
+    (verdict, stats)
 }
 
 /// The workspace commit the benchmark ran on, or `"unknown"` outside a

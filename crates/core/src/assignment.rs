@@ -55,7 +55,8 @@ pub enum AssignmentError {
     InvalidDependency(String),
     /// The runtime governor stopped the chase or the search (deadline,
     /// memory budget, cancellation, or an injected fault). The question is
-    /// *undecided*, not answered.
+    /// *undecided*, not answered. Only [`solve`] returns it;
+    /// [`for_each_solution`] reports a stop with its statistics.
     Stopped(StopReason),
 }
 
@@ -94,21 +95,6 @@ pub struct SearchStats {
     /// Engine counters of the Σst chase that built `J_can` (absorbed so
     /// `solve --stats` reports real chase work for this solver too).
     pub chase_stats: pde_chase::ChaseStats,
-}
-
-impl SearchStats {
-    /// Export the search counters into a [`pde_trace::MetricsRegistry`]
-    /// under the `search.` prefix, plus the absorbed Σst chase counters
-    /// under `chase.`.
-    pub fn export_metrics(&self, reg: &mut pde_trace::MetricsRegistry) {
-        let u = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
-        reg.add("search.nodes", u(self.nodes));
-        reg.add("search.prunes", u(self.prunes));
-        reg.add("search.candidates_checked", u(self.candidates_checked));
-        reg.set_max("search.null_count", u(self.null_count));
-        reg.set_max("search.jcan_facts", u(self.jcan_facts));
-        self.chase_stats.export_metrics(reg);
-    }
 }
 
 /// Outcome of a solve call.
@@ -187,61 +173,28 @@ impl DisjunctiveProblem {
     }
 }
 
-/// Decide existence of a solution for `input` in `setting` (Σt must be
-/// empty), returning a materialized witness when one exists.
-pub fn solve(setting: &PdeSetting, input: &Instance) -> Result<AssignmentOutcome, AssignmentError> {
-    let problem = DisjunctiveProblem::from_setting(setting)?;
-    solve_disjunctive(&problem, input)
-}
-
-/// [`solve`] under a runtime governor, checked by the Σst chase and at
-/// every search node. A governor stop surfaces as
+/// Decide existence of a solution for `input` in `problem`, returning a
+/// materialized witness when one exists. The governor is checked by the
+/// Σst chase and at every search node; a stop surfaces as
 /// [`AssignmentError::Stopped`] — never as a yes/no answer.
-pub fn solve_governed(
-    setting: &PdeSetting,
-    input: &Instance,
-    governor: &Governor,
-) -> Result<AssignmentOutcome, AssignmentError> {
-    let problem = DisjunctiveProblem::from_setting(setting)?;
-    solve_disjunctive_governed(&problem, input, governor)
-}
-
-/// [`solve`] for a disjunctive problem.
-pub fn solve_disjunctive(
-    problem: &DisjunctiveProblem,
-    input: &Instance,
-) -> Result<AssignmentOutcome, AssignmentError> {
-    solve_disjunctive_governed(problem, input, &Governor::unlimited())
-}
-
-/// [`solve_disjunctive`] under a runtime governor.
-pub fn solve_disjunctive_governed(
+pub fn solve(
     problem: &DisjunctiveProblem,
     input: &Instance,
     governor: &Governor,
 ) -> Result<AssignmentOutcome, AssignmentError> {
     let mut found = None;
-    let stats = search(problem, input, governor, |sol| {
+    let (stats, _, stopped) = for_each_solution(problem, input, governor, |sol| {
         found = Some(sol.clone());
         ControlFlow::Break(())
     })?;
+    if let Some(reason) = stopped {
+        return Err(AssignmentError::Stopped(reason));
+    }
     Ok(AssignmentOutcome {
         exists: found.is_some(),
         witness: found,
         stats,
     })
-}
-
-/// Enumerate candidate solutions — the constant-preserving images of
-/// `J_can` that are solutions. Every solution of the problem contains one
-/// of the enumerated candidates, so for monotone queries the certain
-/// answers are the intersection of the answers over this family.
-pub fn for_each_solution(
-    problem: &DisjunctiveProblem,
-    input: &Instance,
-    f: impl FnMut(&Instance) -> ControlFlow<()>,
-) -> Result<SearchStats, AssignmentError> {
-    search(problem, input, &Governor::unlimited(), f)
 }
 
 struct SearchCtx<'a, F> {
@@ -277,24 +230,35 @@ enum NodeResult {
     Continue,
 }
 
-fn search(
+/// Enumerate candidate solutions — the constant-preserving images of
+/// `J_can` that are solutions. Every solution of the problem contains one
+/// of the enumerated candidates, so for monotone queries the certain
+/// answers are the intersection of the answers over this family.
+///
+/// Returns the statistics, whether the space was exhausted (neither the
+/// sink nor the governor cut it short), and why the governor stopped the
+/// walk, if it did.
+pub fn for_each_solution(
     problem: &DisjunctiveProblem,
     input: &Instance,
     governor: &Governor,
     f: impl FnMut(&Instance) -> ControlFlow<()>,
-) -> Result<SearchStats, AssignmentError> {
+) -> Result<(SearchStats, bool, Option<StopReason>), AssignmentError> {
     if !input.is_ground() {
         return Err(AssignmentError::InputNotGround);
     }
     let gen = null_gen_for(input);
     let st_res = crate::tractable::chase_tgds(input.clone(), &problem.sigma_st, &gen, governor);
-    if !st_res.is_success() {
-        return Err(match st_res.outcome {
-            ChaseOutcome::Stopped { reason } => AssignmentError::Stopped(reason),
-            _ => AssignmentError::ChaseDidNotTerminate,
-        });
-    }
     let st_stats = st_res.stats;
+    match st_res.outcome {
+        ChaseOutcome::Success => {}
+        ChaseOutcome::Stopped { reason } => {
+            let mut stats = SearchStats::default();
+            stats.chase_stats.absorb(st_stats);
+            return Ok((stats, false, Some(reason)));
+        }
+        _ => return Err(AssignmentError::ChaseDidNotTerminate),
+    }
     let jcan_combined = st_res.instance;
 
     // Collect target facts and their nulls.
@@ -364,13 +328,9 @@ fn search(
             break;
         }
     }
-    if ok {
-        ctx.descend(0);
-    }
-    if let Some(reason) = ctx.stopped {
-        return Err(AssignmentError::Stopped(reason));
-    }
-    Ok(ctx.stats)
+    // An unfixable ground violation exhausts the space at once.
+    let exhausted = !ok || matches!(ctx.descend(0), NodeResult::Continue);
+    Ok((ctx.stats, exhausted, ctx.stopped))
 }
 
 struct FactState {
@@ -579,6 +539,18 @@ mod tests {
     use pde_constraints::parse_disjunctive_tgd;
     use pde_relational::parse_instance;
 
+    /// The null-assignment search on a plain setting, ungoverned.
+    fn solve_setting(
+        p: &PdeSetting,
+        input: &Instance,
+    ) -> Result<AssignmentOutcome, AssignmentError> {
+        solve(
+            &DisjunctiveProblem::from_setting(p)?,
+            input,
+            &Governor::unlimited(),
+        )
+    }
+
     fn example1() -> PdeSetting {
         PdeSetting::parse(
             "source E/2; target H/2;",
@@ -593,13 +565,13 @@ mod tests {
     fn example1_cases() {
         let p = example1();
         let no = parse_instance(p.schema(), "E(a, b). E(b, c).").unwrap();
-        assert!(!solve(&p, &no).unwrap().exists);
+        assert!(!solve_setting(&p, &no).unwrap().exists);
         let yes = parse_instance(p.schema(), "E(a, a).").unwrap();
-        let out = solve(&p, &yes).unwrap();
+        let out = solve_setting(&p, &yes).unwrap();
         assert!(out.exists);
         assert!(is_solution(&p, &yes, &out.witness.unwrap()));
         let tri = parse_instance(p.schema(), "E(a, b). E(b, c). E(a, c).").unwrap();
-        let out = solve(&p, &tri).unwrap();
+        let out = solve_setting(&p, &tri).unwrap();
         assert!(out.exists);
         assert!(is_solution(&p, &tri, &out.witness.unwrap()));
     }
@@ -619,7 +591,7 @@ mod tests {
             let fast = crate::tractable::exists_solution(&p, &input)
                 .unwrap()
                 .exists;
-            let slow = solve(&p, &input).unwrap().exists;
+            let slow = solve_setting(&p, &input).unwrap().exists;
             assert_eq!(fast, slow, "disagreement on {src:?}");
         }
     }
@@ -640,7 +612,7 @@ mod tests {
         // S(a, b): T(a, ?n); need S(w, f(n)): assigning n := b works
         // (S(a, b) witnesses w = a, x2 = b); keeping the null fails.
         let input = parse_instance(p.schema(), "S(a, b).").unwrap();
-        let out = solve(&p, &input).unwrap();
+        let out = solve_setting(&p, &input).unwrap();
         assert!(out.exists);
         let w = out.witness.unwrap();
         assert!(is_solution(&p, &input, &w));
@@ -658,7 +630,7 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "S(a). W(a).").unwrap();
-        let out = solve(&p, &input).unwrap();
+        let out = solve_setting(&p, &input).unwrap();
         assert!(out.exists);
         let w = out.witness.unwrap();
         assert!(is_solution(&p, &input, &w));
@@ -689,7 +661,7 @@ mod tests {
              E(u, v). E(v, u). E(u, t). E(t, u). E(v, t). E(t, v).",
         )
         .unwrap();
-        let out = solve(&p, &tri).unwrap();
+        let out = solve_setting(&p, &tri).unwrap();
         assert!(out.exists, "triangle contains a 3-clique");
         // Path u - v - t has no 3-clique.
         let path = parse_instance(
@@ -699,7 +671,10 @@ mod tests {
              E(u, v). E(v, u). E(v, t). E(t, v).",
         )
         .unwrap();
-        assert!(!solve(&p, &path).unwrap().exists, "path has no 3-clique");
+        assert!(
+            !solve_setting(&p, &path).unwrap().exists,
+            "path has no 3-clique"
+        );
     }
 
     #[test]
@@ -708,7 +683,7 @@ mod tests {
         let tri = parse_instance(p.schema(), "E(a, b). E(b, c). E(a, c).").unwrap();
         let problem = DisjunctiveProblem::from_setting(&p).unwrap();
         let mut count = 0usize;
-        for_each_solution(&problem, &tri, |sol| {
+        for_each_solution(&problem, &tri, &Governor::unlimited(), |sol| {
             assert!(is_solution(&p, &tri, sol));
             count += 1;
             ControlFlow::Continue(())
@@ -730,13 +705,17 @@ mod tests {
         let ts = vec![parse_disjunctive_tgd(&schema, "C(x, u) -> R(u) | B(u)").unwrap()];
         let problem = DisjunctiveProblem::new(schema.clone(), st, ts).unwrap();
         let input = parse_instance(&schema, "V(n1). V(n2). R(r). B(b).").unwrap();
-        let out = solve_disjunctive(&problem, &input).unwrap();
+        let out = solve(&problem, &input, &Governor::unlimited()).unwrap();
         assert!(out.exists);
         let w = out.witness.unwrap();
         assert!(w.is_ground(), "colors must be assigned");
         // Without any color constants there is no solution.
         let bad = parse_instance(&schema, "V(n1).").unwrap();
-        assert!(!solve_disjunctive(&problem, &bad).unwrap().exists);
+        assert!(
+            !solve(&problem, &bad, &Governor::unlimited())
+                .unwrap()
+                .exists
+        );
     }
 
     #[test]
@@ -750,7 +729,7 @@ mod tests {
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
         assert_eq!(
-            solve(&p, &input).unwrap_err(),
+            solve_setting(&p, &input).unwrap_err(),
             AssignmentError::HasTargetConstraints
         );
     }
@@ -766,7 +745,8 @@ mod tests {
             cancel: Some(token),
             ..GovernorConfig::default()
         });
-        let err = solve_governed(&p, &input, &governor).unwrap_err();
+        let problem = DisjunctiveProblem::from_setting(&p).unwrap();
+        let err = solve(&problem, &input, &governor).unwrap_err();
         assert!(matches!(
             err,
             AssignmentError::Stopped(StopReason::Cancelled)
@@ -783,7 +763,7 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "S(a, b). S(b, c).").unwrap();
-        let out = solve(&p, &input).unwrap();
+        let out = solve_setting(&p, &input).unwrap();
         assert!(out.exists);
         assert_eq!(out.stats.null_count, 2);
         assert!(out.stats.nodes >= 2);

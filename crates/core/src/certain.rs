@@ -17,10 +17,12 @@
 //! When no solution exists, every tuple is vacuously certain; the outcome
 //! flags this case instead of trying to enumerate an infinite set.
 
-use crate::assignment::{self, AssignmentError, DisjunctiveProblem};
-use crate::generic::{self, GenericError, GenericLimits};
+use crate::family::{self, Search};
+use crate::generic::GenericLimits;
 use crate::setting::PdeSetting;
+use crate::solver::SolveError;
 use pde_relational::{Instance, Peer, UnionQuery, Value};
+use pde_runtime::Governor;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -30,10 +32,8 @@ use std::ops::ControlFlow;
 pub enum CertainError {
     /// The query mentions non-target relations.
     QueryNotOverTarget,
-    /// Underlying assignment-solver error.
-    Assignment(AssignmentError),
-    /// Underlying generic-solver error.
-    Generic(GenericError),
+    /// The complete search could not run (see [`SolveError`]).
+    Search(SolveError),
     /// The solution space could not be exhausted within the limits, so the
     /// intersection is not known to be complete.
     Undecided,
@@ -48,8 +48,7 @@ impl fmt::Display for CertainError {
                     "certain answers are defined for queries over the target schema"
                 )
             }
-            CertainError::Assignment(e) => write!(f, "{e}"),
-            CertainError::Generic(e) => write!(f, "{e}"),
+            CertainError::Search(e) => write!(f, "{e}"),
             CertainError::Undecided => {
                 write!(f, "solution enumeration hit its resource limit")
             }
@@ -58,18 +57,6 @@ impl fmt::Display for CertainError {
 }
 
 impl std::error::Error for CertainError {}
-
-impl From<AssignmentError> for CertainError {
-    fn from(e: AssignmentError) -> Self {
-        CertainError::Assignment(e)
-    }
-}
-
-impl From<GenericError> for CertainError {
-    fn from(e: GenericError) -> Self {
-        CertainError::Generic(e)
-    }
-}
 
 /// The certain answers of a query on an input pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,8 +85,11 @@ impl CertainOutcome {
 }
 
 /// Compute the certain answers of a union of conjunctive queries over the
-/// target schema. Chooses the assignment solver when Σt = ∅ and the
-/// generic search otherwise.
+/// target schema: the intersection over the covering family walked by the
+/// null-assignment search when Σt = ∅ and the witness-chase search
+/// otherwise (`limits` bound the latter).
+// `pdebench` calls this by name; a governed, options-value entry point
+// replaces it together with that caller.
 pub fn certain_answers(
     setting: &PdeSetting,
     input: &Instance,
@@ -117,11 +107,7 @@ pub fn certain_answers(
     let mut examined = 0usize;
     let mut intersect = |sol: &Instance| -> ControlFlow<()> {
         examined += 1;
-        let ground: BTreeSet<Vec<Value>> = query
-            .eval(sol)
-            .into_iter()
-            .filter(|t| t.iter().all(Value::is_const))
-            .collect();
+        let ground = ground_answers(query, sol);
         let next = match acc.take() {
             None => ground,
             Some(prev) => prev.intersection(&ground).cloned().collect(),
@@ -136,17 +122,15 @@ pub fn certain_answers(
         }
     };
 
-    if setting.has_no_target_constraints() {
-        let problem = DisjunctiveProblem::from_setting(setting)?;
-        assignment::for_each_solution(&problem, input, &mut intersect)?;
-    } else {
-        let (_, exhausted) = generic::for_each_solution(setting, input, limits, &mut intersect)?;
-        // `intersect` breaking early (empty intersection) is fine; only an
-        // un-exhausted space with a nonempty running intersection is
-        // genuinely undecided.
-        if !exhausted && acc.as_ref().is_none_or(|a| !a.is_empty()) {
-            return Err(CertainError::Undecided);
-        }
+    let search = Search::for_setting(setting);
+    let governor = Governor::unlimited();
+    let end = family::for_each_solution(setting, input, search, limits, &governor, &mut intersect)
+        .map_err(CertainError::Search)?;
+    // `intersect` breaking early (empty intersection) is fine; only an
+    // un-exhausted family with a nonempty running intersection is
+    // genuinely undecided.
+    if !end.exhausted && acc.as_ref().is_none_or(|a| !a.is_empty()) {
+        return Err(CertainError::Undecided);
     }
 
     Ok(match acc {
@@ -161,6 +145,14 @@ pub fn certain_answers(
             solutions_examined: examined,
         },
     })
+}
+
+/// The ground (all-constant) answers of `query` on `k`: a constant-
+/// preserving homomorphism carries each of them into every instance `k`
+/// maps to.
+pub(crate) fn ground_answers(query: &UnionQuery, k: &Instance) -> BTreeSet<Vec<Value>> {
+    let answers = query.eval(k).into_iter();
+    answers.filter(|t| t.iter().all(Value::is_const)).collect()
 }
 
 /// Brute-force *soundness oracle* for tests: enumerate every target
@@ -227,11 +219,7 @@ pub fn brute_force_certain_superset(
         }
         if crate::solution::is_solution(setting, input, &cand) {
             exists = true;
-            let ground: BTreeSet<Vec<Value>> = query
-                .eval(&cand)
-                .into_iter()
-                .filter(|t| t.iter().all(Value::is_const))
-                .collect();
+            let ground = ground_answers(query, &cand);
             acc = Some(match acc.take() {
                 None => ground,
                 Some(prev) => prev.intersection(&ground).cloned().collect(),

@@ -6,7 +6,8 @@
 //! Σt): it fails iff no solution exists, and on success its result is a
 //! *universal* solution — it maps homomorphically into every solution, so
 //! the ground answers of a union of conjunctive queries evaluated on it
-//! are exactly the certain answers.
+//! are exactly the certain answers ([`crate::certain_answers`] computes
+//! them for every setting).
 
 use crate::setting::PdeSetting;
 use pde_chase::{
@@ -14,9 +15,8 @@ use pde_chase::{
     WitnessMode,
 };
 use pde_constraints::Dependency;
-use pde_relational::{Instance, Peer, UnionQuery, Value};
+use pde_relational::Instance;
 use pde_runtime::{Governor, StopReason};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Why the data-exchange solver refused to run.
@@ -29,8 +29,6 @@ pub enum DataExchangeError {
     InputNotGround,
     /// The chase hit its resource limits (target tgds not weakly acyclic).
     ChaseDidNotTerminate,
-    /// The query mentions non-target relations.
-    QueryNotOverTarget,
     /// The runtime governor stopped the chase (deadline, memory budget,
     /// cancellation, or an injected fault). The question is *undecided*,
     /// not answered.
@@ -51,12 +49,6 @@ impl fmt::Display for DataExchangeError {
                 write!(
                     f,
                     "chase resource limit exceeded (weak acyclicity violated?)"
-                )
-            }
-            DataExchangeError::QueryNotOverTarget => {
-                write!(
-                    f,
-                    "certain answers are defined for queries over the target schema"
                 )
             }
             DataExchangeError::Stopped(reason) => write!(f, "chase stopped: {reason}"),
@@ -80,45 +72,19 @@ pub struct DataExchangeOutcome {
     pub chase_stats: ChaseStats,
 }
 
-/// Chase-based existence test and canonical-solution construction.
+/// Chase-based existence test and canonical-solution construction: chase
+/// `(I, J)` with Σst ∪ Σt under `limits` (certificate-derived budgets, or
+/// tight caps for experiments that measure divergence), following an
+/// optional stratified [`DepSchedule`] over the forward dependency list
+/// (Σst tgds first, then Σt — the order `pde-analysis`'s
+/// `forward_schedule` indexes). A governor stop surfaces as
+/// [`DataExchangeError::Stopped`] — never as a yes/no answer.
 pub fn solve_data_exchange(
     setting: &PdeSetting,
     input: &Instance,
-) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_with_limits(setting, input, ChaseLimits::default())
-}
-
-/// Chase with explicit limits (certificate-derived budgets, or tight caps
-/// for experiments that measure divergence).
-pub fn solve_data_exchange_with_limits(
-    setting: &PdeSetting,
-    input: &Instance,
     limits: ChaseLimits,
-) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_governed(setting, input, limits, &Governor::unlimited())
-}
-
-/// [`solve_data_exchange_with_limits`] under a runtime governor. A
-/// governor stop surfaces as [`DataExchangeError::Stopped`] — never as a
-/// yes/no answer.
-pub fn solve_data_exchange_governed(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: ChaseLimits,
-    governor: &Governor,
-) -> Result<DataExchangeOutcome, DataExchangeError> {
-    solve_data_exchange_governed_scheduled(setting, input, limits, governor, None)
-}
-
-/// [`solve_data_exchange_governed`] with an optional stratified
-/// [`DepSchedule`] over the forward dependency list (Σst tgds first, then
-/// Σt — the order `pde-analysis`'s `forward_schedule` indexes).
-pub fn solve_data_exchange_governed_scheduled(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: ChaseLimits,
-    governor: &Governor,
     schedule: Option<&DepSchedule>,
+    governor: &Governor,
 ) -> Result<DataExchangeOutcome, DataExchangeError> {
     if !setting.is_data_exchange() {
         return Err(DataExchangeError::HasTargetToSource);
@@ -159,35 +125,21 @@ pub fn solve_data_exchange_governed_scheduled(
     }
 }
 
-/// Certain answers in data exchange: ground answers of the UCQ on the
-/// canonical universal solution (\[FKMP\] Theorem 4.2). Returns `None` when
-/// no solution exists (vacuous certainty).
-pub fn certain_answers_data_exchange(
-    setting: &PdeSetting,
-    input: &Instance,
-    query: &UnionQuery,
-) -> Result<Option<BTreeSet<Vec<Value>>>, DataExchangeError> {
-    if !query
-        .disjuncts
-        .iter()
-        .all(|q| q.over_peer(setting.schema(), Peer::Target))
-    {
-        return Err(DataExchangeError::QueryNotOverTarget);
-    }
-    let out = solve_data_exchange(setting, input)?;
-    Ok(out.canonical.map(|c| {
-        query
-            .eval(&c)
-            .into_iter()
-            .filter(|t| t.iter().all(Value::is_const))
-            .collect()
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pde_relational::{parse_instance, parse_query};
+    use pde_relational::{parse_instance, parse_query, UnionQuery, Value};
+
+    /// The ungoverned, unscheduled chase under the default limits.
+    fn solve(p: &PdeSetting, input: &Instance) -> Result<DataExchangeOutcome, DataExchangeError> {
+        solve_data_exchange(
+            p,
+            input,
+            ChaseLimits::default(),
+            None,
+            &Governor::unlimited(),
+        )
+    }
 
     fn de_setting() -> PdeSetting {
         PdeSetting::parse(
@@ -205,7 +157,7 @@ mod tests {
         let p = de_setting();
         for src in ["E(a, b).", "E(a, b). E(b, c).", ""] {
             let input = parse_instance(p.schema(), src).unwrap();
-            let out = solve_data_exchange(&p, &input).unwrap();
+            let out = solve(&p, &input).unwrap();
             assert!(out.exists, "{src}");
         }
     }
@@ -214,7 +166,7 @@ mod tests {
     fn canonical_solution_is_a_solution() {
         let p = de_setting();
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
-        let out = solve_data_exchange(&p, &input).unwrap();
+        let out = solve(&p, &input).unwrap();
         let canon = out.canonical.unwrap();
         assert!(crate::solution::is_solution(&p, &input, &canon));
         assert_eq!(canon.nulls().len(), 1);
@@ -230,12 +182,16 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, b). E(a, c).").unwrap();
-        let out = solve_data_exchange(&p, &input).unwrap();
+        let out = solve(&p, &input).unwrap();
         assert!(!out.exists);
-        // Cross-check against the generic search solver.
-        let gen =
-            crate::generic::solve(&p, &input, crate::generic::GenericLimits::default()).unwrap();
-        assert_eq!(gen.decided(), Some(false));
+        // Cross-check against the witness-chase search.
+        let plan = crate::SolvePlan {
+            kind: crate::SolverKind::GenericSearch,
+            ..crate::SolvePlan::for_setting(&p)
+        };
+        let governor = Governor::unlimited();
+        let gen = crate::decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
+        assert_eq!(gen.exists, Some(false));
     }
 
     #[test]
@@ -248,15 +204,18 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
-        let q = parse_query(p.schema(), "q(x, y) :- H(x, z), H(z, y)")
+        let q: UnionQuery = parse_query(p.schema(), "q(x, y) :- H(x, z), H(z, y)")
             .unwrap()
             .into();
-        let ans = certain_answers_data_exchange(&p, &input, &q)
-            .unwrap()
-            .unwrap();
+        let canonical = solve(&p, &input).unwrap().canonical.unwrap();
+        let ans = crate::certain::ground_answers(&q, &canonical);
         assert!(ans.contains(&vec![Value::constant("a"), Value::constant("b")]));
         // Answers through the null are not ground, hence not certain.
         assert_eq!(ans.len(), 1);
+        // The canonical solution is universal: the covering family agrees.
+        let limits = crate::GenericLimits::default();
+        let certain = crate::certain_answers(&p, &input, &q, limits).unwrap();
+        assert_eq!(certain.answers, ans);
     }
 
     #[test]
@@ -270,7 +229,7 @@ mod tests {
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, a).").unwrap();
         assert_eq!(
-            solve_data_exchange(&p, &input).unwrap_err(),
+            solve(&p, &input).unwrap_err(),
             DataExchangeError::HasTargetToSource
         );
     }
@@ -285,8 +244,8 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..GovernorConfig::default()
         });
-        let err = solve_data_exchange_governed(&p, &input, ChaseLimits::default(), &governor)
-            .unwrap_err();
+        let err =
+            solve_data_exchange(&p, &input, ChaseLimits::default(), None, &governor).unwrap_err();
         assert!(matches!(
             err,
             DataExchangeError::Stopped(StopReason::DeadlineExceeded { .. })
@@ -304,7 +263,9 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, b).").unwrap();
-        let err = solve_data_exchange_with_limits(&p, &input, ChaseLimits::tight(100)).unwrap_err();
+        let governor = Governor::unlimited();
+        let err =
+            solve_data_exchange(&p, &input, ChaseLimits::tight(100), None, &governor).unwrap_err();
         assert_eq!(err, DataExchangeError::ChaseDidNotTerminate);
     }
 }

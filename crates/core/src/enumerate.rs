@@ -6,12 +6,13 @@
 //! deduplicated up to null renaming, optionally cored, capped at a limit —
 //! for exploration, debugging, and the `solution_space` example.
 
-use crate::assignment::{self, AssignmentError, DisjunctiveProblem};
-use crate::generic::{self, GenericError, GenericLimits};
+use crate::family::{self, Search};
+use crate::generic::{canonical_key, GenericLimits};
 use crate::setting::PdeSetting;
+use crate::solver::SolveError;
 use pde_relational::{core_of, Instance};
+use pde_runtime::Governor;
 use std::collections::HashSet;
-use std::fmt;
 use std::ops::ControlFlow;
 
 /// Options for [`enumerate_solutions`].
@@ -37,38 +38,6 @@ impl Default for EnumerateOptions {
     }
 }
 
-/// Enumeration errors.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EnumerateError {
-    /// Underlying assignment-solver error.
-    Assignment(AssignmentError),
-    /// Underlying generic-solver error.
-    Generic(GenericError),
-}
-
-impl fmt::Display for EnumerateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EnumerateError::Assignment(e) => write!(f, "{e}"),
-            EnumerateError::Generic(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for EnumerateError {}
-
-impl From<AssignmentError> for EnumerateError {
-    fn from(e: AssignmentError) -> Self {
-        EnumerateError::Assignment(e)
-    }
-}
-
-impl From<GenericError> for EnumerateError {
-    fn from(e: GenericError) -> Self {
-        EnumerateError::Generic(e)
-    }
-}
-
 /// The outcome: the distinct solutions found (sorted smallest-first) and
 /// whether the family was exhausted within the limits.
 #[derive(Clone, Debug)]
@@ -79,84 +48,41 @@ pub struct SolutionFamily {
     pub exhaustive: bool,
 }
 
-/// A rename-invariant key for deduplication: sorted fact strings with
-/// nulls renumbered by first appearance.
-fn dedup_key(k: &Instance) -> String {
-    let mut lines: Vec<String> = k
-        .facts()
-        .map(|(rel, t)| format!("{}{t:?}", rel.0))
-        .collect();
-    lines.sort();
-    let joined = lines.join(";");
-    let mut ranks: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
-    let mut out = String::with_capacity(joined.len());
-    let bytes = joined.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if joined[i..].starts_with('⊥') {
-            let start = i + '⊥'.len_utf8();
-            let mut j = start;
-            while j < bytes.len() && bytes[j].is_ascii_digit() {
-                j += 1;
-            }
-            let id = joined[start..j].to_owned();
-            let next = ranks.len();
-            let rank = *ranks.entry(id).or_insert(next);
-            out.push_str(&format!("¤{rank}¤"));
-            i = j;
-        } else {
-            let ch = joined[i..]
-                .chars()
-                .next()
-                .expect("i < joined.len() and on a char boundary: i only advances by len_utf8");
-            out.push(ch);
-            i += ch.len_utf8();
-        }
-    }
-    out
-}
-
 /// Enumerate distinct solutions of the minimal family for `input` in
 /// `setting`.
 pub fn enumerate_solutions(
     setting: &PdeSetting,
     input: &Instance,
     options: EnumerateOptions,
-) -> Result<SolutionFamily, EnumerateError> {
+) -> Result<SolutionFamily, SolveError> {
     let mut seen: HashSet<String> = HashSet::new();
     let mut solutions: Vec<Instance> = Vec::new();
     let core_allowed = options.core && setting.target_tgds().next().is_none();
-    let mut truncated = false;
-    let mut sink = |sol: &Instance| -> ControlFlow<()> {
+    let sink = |sol: &Instance| -> ControlFlow<()> {
         let candidate = if core_allowed {
             core_of(sol)
         } else {
             sol.clone()
         };
-        if seen.insert(dedup_key(&candidate)) {
+        if seen.insert(canonical_key(&candidate)) {
             solutions.push(candidate);
         }
         if solutions.len() >= options.max_solutions {
-            truncated = true;
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
         }
     };
 
-    let exhausted = if setting.has_no_target_constraints() {
-        let problem = DisjunctiveProblem::from_setting(setting)?;
-        assignment::for_each_solution(&problem, input, &mut sink)?;
-        !truncated
-    } else {
-        let (_, ex) = generic::for_each_solution(setting, input, options.limits, &mut sink)?;
-        ex && !truncated
-    };
+    // Reaching `max_solutions` breaks the walk, so it is not exhausted.
+    let search = Search::for_setting(setting);
+    let governor = Governor::unlimited();
+    let end = family::for_each_solution(setting, input, search, options.limits, &governor, sink)?;
 
     solutions.sort_by_key(Instance::fact_count);
     Ok(SolutionFamily {
         solutions,
-        exhaustive: exhausted,
+        exhaustive: end.exhausted,
     })
 }
 

@@ -38,8 +38,8 @@ pub struct GenericLimits {
     /// Maximum number of *active-domain* values tried per existential
     /// variable when branching (the one fresh null is always tried on
     /// top). When this truncates the branch set, an unsuccessful search
-    /// reports `Unknown` rather than `NoSolution` — completeness needs
-    /// every branch.
+    /// is not exhausted, so it answers *undecided* rather than *no* —
+    /// completeness needs every branch.
     pub max_branches: usize,
 }
 
@@ -84,125 +84,15 @@ pub struct GenericStats {
     pub candidates_checked: usize,
 }
 
-impl GenericStats {
-    /// Export the search counters into a [`pde_trace::MetricsRegistry`]
-    /// under the `search.` prefix.
-    pub fn export_metrics(&self, reg: &mut pde_trace::MetricsRegistry) {
-        let u = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
-        reg.add("search.nodes", u(self.nodes));
-        reg.add("search.memo_hits", u(self.memo_hits));
-        reg.add("search.ts_prunes", u(self.ts_prunes));
-        reg.add("search.egd_failures", u(self.egd_failures));
-        reg.add("search.candidates_checked", u(self.candidates_checked));
-    }
-}
-
-/// Outcome of the generic search.
-#[derive(Clone, Debug)]
-pub enum GenericOutcome {
-    /// A solution exists; the witness is a combined instance.
-    Solved {
-        /// A materialized solution.
-        witness: Instance,
-        /// Search statistics.
-        stats: GenericStats,
-    },
-    /// The search space was exhausted: no solution exists.
-    NoSolution {
-        /// Search statistics.
-        stats: GenericStats,
-    },
-    /// The node limit was hit before the space was exhausted.
-    Unknown {
-        /// Search statistics.
-        stats: GenericStats,
-    },
-    /// The runtime governor stopped the search (deadline, memory budget,
-    /// cancellation, or an injected fault). Like `Unknown`, this is a
-    /// refusal to keep spending, never a claim about the instance.
-    Stopped {
-        /// Why the governor stopped the run.
-        reason: StopReason,
-        /// Search statistics.
-        stats: GenericStats,
-    },
-}
-
-impl GenericOutcome {
-    /// `Some(true/false)` when decided, `None` when unknown or stopped.
-    pub fn decided(&self) -> Option<bool> {
-        match self {
-            GenericOutcome::Solved { .. } => Some(true),
-            GenericOutcome::NoSolution { .. } => Some(false),
-            GenericOutcome::Unknown { .. } | GenericOutcome::Stopped { .. } => None,
-        }
-    }
-
-    /// The witness, if solved.
-    pub fn witness(&self) -> Option<&Instance> {
-        match self {
-            GenericOutcome::Solved { witness, .. } => Some(witness),
-            _ => None,
-        }
-    }
-
-    /// The statistics of the run.
-    pub fn stats(&self) -> &GenericStats {
-        match self {
-            GenericOutcome::Solved { stats, .. }
-            | GenericOutcome::NoSolution { stats }
-            | GenericOutcome::Unknown { stats }
-            | GenericOutcome::Stopped { stats, .. } => stats,
-        }
-    }
-}
-
-/// Decide existence of a solution by complete search.
-pub fn solve(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: GenericLimits,
-) -> Result<GenericOutcome, GenericError> {
-    solve_governed(setting, input, limits, &Governor::unlimited())
-}
-
-/// [`solve`] under a runtime governor, checked at every search node. A
-/// governor stop surfaces as [`GenericOutcome::Stopped`] — never as a
-/// yes/no answer.
-pub fn solve_governed(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: GenericLimits,
-    governor: &Governor,
-) -> Result<GenericOutcome, GenericError> {
-    let mut found = None;
-    let (stats, exhausted, stopped) = run(setting, input, limits, governor, |sol| {
-        found = Some(sol.clone());
-        ControlFlow::Break(())
-    })?;
-    Ok(match (found, stopped) {
-        (Some(witness), _) => GenericOutcome::Solved { witness, stats },
-        (None, Some(reason)) => GenericOutcome::Stopped { reason, stats },
-        (None, None) if exhausted => GenericOutcome::NoSolution { stats },
-        (None, None) => GenericOutcome::Unknown { stats },
-    })
-}
-
 /// Enumerate the leaf solutions of the search. Every solution of the
 /// setting contains a homomorphic image of some enumerated leaf, so for
 /// monotone queries certain answers are the intersection of ground answers
-/// over this family. Returns the stats and whether the space was exhausted.
+/// over this family. The governor is checked at every search node.
+///
+/// Returns the statistics, whether the space was exhausted (no node or
+/// branch limit, governor stop or sink break cut it short), and why the
+/// governor stopped the walk, if it did.
 pub fn for_each_solution(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: GenericLimits,
-    f: impl FnMut(&Instance) -> ControlFlow<()>,
-) -> Result<(GenericStats, bool), GenericError> {
-    let (stats, exhausted, _stopped) = run(setting, input, limits, &Governor::unlimited(), f)?;
-    Ok((stats, exhausted))
-}
-
-fn run(
     setting: &PdeSetting,
     input: &Instance,
     limits: GenericLimits,
@@ -478,8 +368,9 @@ impl<F: FnMut(&Instance) -> ControlFlow<()>> Ctx<'_, F> {
 
 /// An isomorphism-invariant key: render facts with null ids, sort, then
 /// renumber nulls by first appearance. Instances differing only in null
-/// naming share a key; different instances never collide.
-fn canonical_key(k: &Instance) -> String {
+/// naming share a key; different instances never collide. The search
+/// memoizes on it and [`crate::enumerate`] deduplicates with it.
+pub(crate) fn canonical_key(k: &Instance) -> String {
     let mut lines: Vec<String> = k
         .facts()
         .map(|(rel, t)| format!("{}{t:?}", rel.0))
@@ -522,6 +413,33 @@ mod tests {
     use crate::solution::is_solution;
     use pde_relational::parse_instance;
 
+    /// Run the search to its first solution: `Some(true)` with a witness,
+    /// `Some(false)` when the space was exhausted without one, `None` when
+    /// a limit cut it short.
+    fn first(
+        p: &PdeSetting,
+        input: &Instance,
+        limits: GenericLimits,
+    ) -> (Option<bool>, Option<Instance>, GenericStats) {
+        let mut found = None;
+        let (stats, exhausted, _) =
+            for_each_solution(p, input, limits, &Governor::unlimited(), |sol| {
+                found = Some(sol.clone());
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        let decided = if found.is_some() {
+            Some(true)
+        } else {
+            exhausted.then_some(false)
+        };
+        (decided, found, stats)
+    }
+
+    fn decided(p: &PdeSetting, input: &Instance) -> Option<bool> {
+        first(p, input, GenericLimits::default()).0
+    }
+
     #[test]
     fn agrees_with_assignment_solver_when_sigma_t_empty() {
         let p = PdeSetting::parse(
@@ -538,9 +456,11 @@ mod tests {
             "E(a, b). E(b, a).",
         ] {
             let input = parse_instance(p.schema(), src).unwrap();
-            let fast = crate::assignment::solve(&p, &input).unwrap().exists;
-            let out = solve(&p, &input, GenericLimits::default()).unwrap();
-            assert_eq!(out.decided(), Some(fast), "{src}");
+            let problem = crate::assignment::DisjunctiveProblem::from_setting(&p).unwrap();
+            let fast = crate::assignment::solve(&problem, &input, &Governor::unlimited())
+                .unwrap()
+                .exists;
+            assert_eq!(decided(&p, &input), Some(fast), "{src}");
         }
     }
 
@@ -564,10 +484,9 @@ mod tests {
              E(u, v). E(v, u). E(u, t). E(t, u). E(v, t). E(t, v).",
         )
         .unwrap();
-        let out = solve(&p, &tri, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(true));
-        let w = out.witness().unwrap();
-        assert!(is_solution(&p, &tri, w));
+        let (decided_tri, witness, _) = first(&p, &tri, GenericLimits::default());
+        assert_eq!(decided_tri, Some(true));
+        assert!(is_solution(&p, &tri, &witness.unwrap()));
         // Path: no 3-clique, no solution.
         let path = parse_instance(
             p.schema(),
@@ -575,8 +494,7 @@ mod tests {
              E(u, v). E(v, u). E(v, t). E(t, v).",
         )
         .unwrap();
-        let out = solve(&p, &path, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(false));
+        assert_eq!(decided(&p, &path), Some(false));
     }
 
     #[test]
@@ -590,12 +508,11 @@ mod tests {
         )
         .unwrap();
         let good = parse_instance(p.schema(), "E(a, b). F(a, b).").unwrap();
-        let out = solve(&p, &good, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(true));
-        assert!(is_solution(&p, &good, out.witness().unwrap()));
+        let (decided_good, witness, _) = first(&p, &good, GenericLimits::default());
+        assert_eq!(decided_good, Some(true));
+        assert!(is_solution(&p, &good, &witness.unwrap()));
         let bad = parse_instance(p.schema(), "E(a, b).").unwrap();
-        let out = solve(&p, &bad, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(false));
+        assert_eq!(decided(&p, &bad), Some(false));
     }
 
     #[test]
@@ -608,9 +525,9 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "H(a, b). H(a, c).").unwrap();
-        let out = solve(&p, &input, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(false));
-        assert!(out.stats().egd_failures >= 1);
+        let (decided_j, _, stats) = first(&p, &input, GenericLimits::default());
+        assert_eq!(decided_j, Some(false));
+        assert!(stats.egd_failures >= 1);
     }
 
     #[test]
@@ -625,13 +542,12 @@ mod tests {
         )
         .unwrap();
         let good = parse_instance(p.schema(), "E(a, q). H(a, b). W(a, b).").unwrap();
-        let out = solve(&p, &good, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(true));
-        assert!(is_solution(&p, &good, out.witness().unwrap()));
+        let (decided_good, witness, _) = first(&p, &good, GenericLimits::default());
+        assert_eq!(decided_good, Some(true));
+        assert!(is_solution(&p, &good, &witness.unwrap()));
         // Without W(a, b) the merged H(a, b) violates Σts.
         let bad = parse_instance(p.schema(), "E(a, q). H(a, b).").unwrap();
-        let out = solve(&p, &bad, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(false));
+        assert_eq!(decided(&p, &bad), Some(false));
     }
 
     #[test]
@@ -644,16 +560,12 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "D(a1, a2). D(a2, a1). E(u, v). E(v, u).").unwrap();
-        let out = solve(
-            &p,
-            &input,
-            GenericLimits {
-                max_nodes: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(out.decided().is_none() || out.decided() == Some(true));
+        let limits = GenericLimits {
+            max_nodes: 1,
+            ..Default::default()
+        };
+        let (decided_one, _, _) = first(&p, &input, limits);
+        assert!(decided_one.is_none() || decided_one == Some(true));
     }
 
     #[test]
@@ -670,20 +582,14 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, q). W(a, b).").unwrap();
-        let full = solve(&p, &input, GenericLimits::default()).unwrap();
-        assert_eq!(full.decided(), Some(true));
-        let capped = solve(
-            &p,
-            &input,
-            GenericLimits {
-                max_branches: 0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        assert_eq!(decided(&p, &input), Some(true));
+        let capped = GenericLimits {
+            max_branches: 0,
+            ..Default::default()
+        };
         // Fresh-null branches alone cannot satisfy Σts here, and the
         // skipped branches forbid a NoSolution verdict.
-        assert_eq!(capped.decided(), None);
+        assert_eq!(first(&p, &input, capped).0, None);
     }
 
     #[test]
@@ -702,15 +608,13 @@ mod tests {
             deadline: Some(Duration::ZERO),
             ..GovernorConfig::default()
         });
-        let out = solve_governed(&p, &input, GenericLimits::default(), &governor).unwrap();
-        assert!(matches!(
-            out,
-            GenericOutcome::Stopped {
-                reason: StopReason::DeadlineExceeded { .. },
-                ..
-            }
-        ));
-        assert_eq!(out.decided(), None);
+        let (_, exhausted, stopped) =
+            for_each_solution(&p, &input, GenericLimits::default(), &governor, |_| {
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        assert!(matches!(stopped, Some(StopReason::DeadlineExceeded { .. })));
+        assert!(!exhausted);
     }
 
     #[test]
@@ -734,7 +638,6 @@ mod tests {
         )
         .unwrap();
         let input = parse_instance(p.schema(), "E(a, b). H(a, c).").unwrap();
-        let out = solve(&p, &input, GenericLimits::default()).unwrap();
-        assert_eq!(out.decided(), Some(true));
+        assert_eq!(decided(&p, &input), Some(true));
     }
 }

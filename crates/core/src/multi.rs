@@ -249,10 +249,16 @@ mod tests {
         let u = m.to_single();
         // Peer alpha forces H(a, b), which peer beta's Σts only accepts
         // when B(b, a) is present — the cross-peer interaction.
+        let problem = crate::assignment::DisjunctiveProblem::from_setting(&u).unwrap();
+        let governor = pde_runtime::Governor::unlimited();
         let no = parse_instance(m.schema(), "A(a, b). B(c, d).").unwrap();
-        assert!(!crate::assignment::solve(&u, &no).unwrap().exists);
+        assert!(
+            !crate::assignment::solve(&problem, &no, &governor)
+                .unwrap()
+                .exists
+        );
         let input = parse_instance(m.schema(), "A(a, b). B(b, a). B(c, d).").unwrap();
-        let out = crate::assignment::solve(&u, &input).unwrap();
+        let out = crate::assignment::solve(&problem, &input, &governor).unwrap();
         assert!(out.exists);
         let w = out.witness.unwrap();
         assert!(m.check_multi_solution(&input, &w).is_ok());

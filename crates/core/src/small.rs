@@ -174,7 +174,9 @@ mod tests {
         let input = parse_instance(p.schema(), "E(a, b). E(b, c). E(a, c). E(c, a).").unwrap();
         if let Ok(small) = {
             // Build some solution first via the complete solver.
-            let out = crate::assignment::solve(&p, &input).unwrap();
+            let problem = crate::assignment::DisjunctiveProblem::from_setting(&p).unwrap();
+            let governor = pde_runtime::Governor::unlimited();
+            let out = crate::assignment::solve(&problem, &input, &governor).unwrap();
             match out.witness {
                 Some(w) => shrink_solution(&p, &input, &w),
                 None => return, // no solution for this input: nothing to test

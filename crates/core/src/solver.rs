@@ -11,15 +11,16 @@
 //! The first two are polynomial; the last two are complete exponential
 //! searches, matching the NP-completeness results of §3.
 
-use crate::assignment::{self, AssignmentError};
 use crate::data_exchange::{self, DataExchangeError};
-use crate::generic::{self, GenericLimits, GenericOutcome};
+use crate::family::{self, Search};
+use crate::generic::GenericLimits;
 use crate::setting::PdeSetting;
 use crate::tractable::{self, TractableError};
 use pde_chase::{ChaseLimits, ChaseStats, DepSchedule};
-use pde_relational::Instance;
+use pde_relational::{Instance, RelId, Tuple};
 use pde_runtime::{isolate, EngineError, Governor, GovernorReport, StopReason};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Which algorithm the façade selected.
@@ -97,6 +98,10 @@ pub struct SolveReport {
     /// is `None` in that case). `None` for decided runs and for plain
     /// limit truncations.
     pub undecided: Option<StopReason>,
+    /// When the `C_tract` path answers *no*: the first unsatisfiable
+    /// source demand (see [`tractable::TractableOutcome`]), which explains
+    /// the answer. `None` otherwise.
+    pub unsatisfiable_demand: Option<Vec<(RelId, Tuple)>>,
     /// Governor counters accumulated over the whole solve (all zeros /
     /// `None` for ungoverned runs that never checked).
     pub governor: GovernorReport,
@@ -135,7 +140,7 @@ impl SolveReport {
 }
 
 /// Errors from the façade (the per-solver errors, unified).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolveError {
     /// Input contains nulls or another per-solver precondition failed.
     Precondition(String),
@@ -196,59 +201,31 @@ impl SolvePlan {
 
 /// Decide `SOL(P)` for `input`, automatically selecting the algorithm.
 pub fn decide(setting: &PdeSetting, input: &Instance) -> Result<SolveReport, SolveError> {
-    decide_with_limits(setting, input, GenericLimits::default())
+    let plan = SolvePlan::for_setting(setting);
+    decide_governed_scheduled(setting, input, &plan, None, &Governor::unlimited())
 }
 
-/// [`decide`] with explicit limits for the complete searches.
-pub fn decide_with_limits(
-    setting: &PdeSetting,
-    input: &Instance,
-    limits: GenericLimits,
-) -> Result<SolveReport, SolveError> {
-    let mut plan = SolvePlan::for_setting(setting);
-    plan.limits = limits;
-    decide_with_plan(setting, input, &plan)
-}
-
-/// Decide `SOL(P)` following a precomputed [`SolvePlan`]: no
-/// re-classification, chase structures bounded by the plan's chase
-/// limits, search budgets taken from the plan.
+/// Decide `SOL(P)` following a precomputed [`SolvePlan`] under a runtime
+/// [`Governor`], with an optional stratified [`DepSchedule`] for the chase
+/// of the data-exchange path (derived by `pde-analysis`'s
+/// `forward_schedule` over this setting's forward dependencies; the other
+/// solver kinds ignore it).
 ///
-/// The caller is responsible for the plan matching the setting (pair a
-/// certificate-derived plan with `verify_certificate` first); a
-/// mismatched plan surfaces as a solver precondition error, never a wrong
-/// answer.
-pub fn decide_with_plan(
-    setting: &PdeSetting,
-    input: &Instance,
-    plan: &SolvePlan,
-) -> Result<SolveReport, SolveError> {
-    decide_governed(setting, input, plan, &Governor::unlimited())
-}
-
-/// [`decide_with_plan`] under a runtime [`Governor`]: deadlines, memory
-/// budgets, and cancellation are enforced cooperatively inside the chase
-/// engines and search solvers, and a budget exhaustion surfaces as a
-/// report with `exists: None` and `undecided: Some(reason)` — never a
-/// wrong yes/no answer and never a poisoned input (engines consume
-/// clones).
+/// The plan fixes the routing (no re-classification), the chase limits
+/// and the search budgets. The caller is responsible for the plan
+/// matching the setting (pair a certificate-derived plan with
+/// `verify_certificate` first); a mismatched plan surfaces as a solver
+/// precondition error, never a wrong answer.
 ///
-/// The solve runs behind panic isolation: a panic becomes
-/// [`SolveError::Engine`], and an injected fault (fault-injection builds)
-/// is a governor stop like any other, reported undecided.
-pub fn decide_governed(
-    setting: &PdeSetting,
-    input: &Instance,
-    plan: &SolvePlan,
-    governor: &Governor,
-) -> Result<SolveReport, SolveError> {
-    decide_governed_scheduled(setting, input, plan, None, governor)
-}
-
-/// [`decide_governed`] with an optional stratified [`DepSchedule`] for the
-/// chase of the data-exchange path (derived by `pde-analysis`'s
-/// `forward_schedule` over this setting's forward dependencies). The
-/// other solver kinds ignore it.
+/// Deadlines, memory budgets, and cancellation are enforced cooperatively
+/// inside the chase engines and search solvers, and a budget exhaustion
+/// surfaces as a report with `exists: None` and `undecided: Some(reason)`
+/// — never a wrong yes/no answer and never a poisoned input (engines
+/// consume clones). The solve runs behind panic isolation: a panic
+/// becomes [`SolveError::Engine`], and an injected fault (fault-injection
+/// builds) is a governor stop like any other, reported undecided.
+// `pdebench` replays `pde solve` through this exact signature; an
+// options-value entry point replaces it together with that replay.
 pub fn decide_governed_scheduled(
     setting: &PdeSetting,
     input: &Instance,
@@ -266,7 +243,8 @@ pub fn decide_governed_scheduled(
 
 /// Dispatch to the governed solver for the plan's kind and normalize the
 /// outcome into a [`SolveReport`] (a governor stop becomes `undecided`,
-/// every other solver error surfaces as a precondition error).
+/// every other solver error surfaces as a precondition error). Elapsed
+/// time and governor counters are filled in by the caller.
 fn dispatch(
     setting: &PdeSetting,
     input: &Instance,
@@ -274,96 +252,69 @@ fn dispatch(
     governor: &Governor,
     schedule: Option<&DepSchedule>,
 ) -> Result<SolveReport, SolveError> {
-    let start = Instant::now();
     let wrap = |e: &dyn fmt::Display| SolveError::Precondition(e.to_string());
-    let report = |exists, witness, chase_stats, search, undecided| SolveReport {
+    let mut report = SolveReport {
         kind: plan.kind,
-        exists,
-        witness,
-        elapsed: start.elapsed(),
-        chase_stats,
-        search,
-        undecided,
+        exists: None,
+        witness: None,
+        elapsed: Duration::ZERO,
+        chase_stats: None,
+        search: None,
+        undecided: None,
+        unsatisfiable_demand: None,
         governor: GovernorReport::default(),
     };
-
-    match plan.kind {
+    let search = match plan.kind {
         SolverKind::DataExchange => {
-            match data_exchange::solve_data_exchange_governed_scheduled(
+            match data_exchange::solve_data_exchange(
                 setting,
                 input,
                 plan.chase_limits,
-                governor,
                 schedule,
+                governor,
             ) {
-                Ok(out) => Ok(report(
-                    Some(out.exists),
-                    out.canonical,
-                    Some(out.chase_stats),
-                    None,
-                    None,
-                )),
-                Err(DataExchangeError::Stopped(reason)) => {
-                    Ok(report(None, None, None, None, Some(reason)))
+                Ok(out) => {
+                    report.exists = Some(out.exists);
+                    report.witness = out.canonical;
+                    report.chase_stats = Some(out.chase_stats);
                 }
-                Err(e) => Err(wrap(&e)),
+                Err(DataExchangeError::Stopped(reason)) => report.undecided = Some(reason),
+                Err(e) => return Err(wrap(&e)),
             }
+            return Ok(report);
         }
         SolverKind::Tractable => {
             match tractable::exists_solution_governed(setting, input, governor) {
-                Ok(out) => Ok(report(
-                    Some(out.exists),
-                    out.witness,
-                    Some(out.stats.chase_stats),
-                    None,
-                    None,
-                )),
-                Err(TractableError::Stopped(reason)) => {
-                    Ok(report(None, None, None, None, Some(reason)))
-                }
-                Err(e) => Err(wrap(&e)),
-            }
-        }
-        SolverKind::AssignmentSearch => {
-            match assignment::solve_governed(setting, input, governor) {
                 Ok(out) => {
-                    let search = SearchSummary {
-                        branches: out.stats.nodes,
-                        candidates_checked: out.stats.candidates_checked,
-                        prunes: out.stats.prunes,
-                    };
-                    Ok(report(
-                        Some(out.exists),
-                        out.witness,
-                        Some(out.stats.chase_stats),
-                        Some(search),
-                        None,
-                    ))
+                    report.exists = Some(out.exists);
+                    report.witness = out.witness;
+                    report.chase_stats = Some(out.stats.chase_stats);
+                    report.unsatisfiable_demand = out.unsatisfiable_demand;
                 }
-                Err(AssignmentError::Stopped(reason)) => {
-                    Ok(report(None, None, None, None, Some(reason)))
-                }
-                Err(e) => Err(wrap(&e)),
+                Err(TractableError::Stopped(reason)) => report.undecided = Some(reason),
+                Err(e) => return Err(wrap(&e)),
             }
+            return Ok(report);
         }
-        SolverKind::GenericSearch => {
-            let out = generic::solve_governed(setting, input, plan.limits, governor)
-                .map_err(|e| wrap(&e))?;
-            let gs = out.stats();
-            let search = SearchSummary {
-                branches: gs.nodes,
-                candidates_checked: gs.candidates_checked,
-                prunes: gs.memo_hits + gs.ts_prunes + gs.egd_failures,
-            };
-            let (exists, witness, undecided) = match out {
-                GenericOutcome::Solved { witness, .. } => (Some(true), Some(witness), None),
-                GenericOutcome::NoSolution { .. } => (Some(false), None, None),
-                GenericOutcome::Unknown { .. } => (None, None, None),
-                GenericOutcome::Stopped { reason, .. } => (None, None, Some(reason)),
-            };
-            Ok(report(exists, witness, None, Some(search), undecided))
-        }
+        SolverKind::AssignmentSearch => Search::Assignment,
+        SolverKind::GenericSearch => Search::Generic,
+    };
+    // A solution exists iff the covering family is non-empty: walk it to
+    // its first member.
+    let end = family::for_each_solution(setting, input, search, plan.limits, governor, |sol| {
+        report.witness = Some(sol.clone());
+        ControlFlow::Break(())
+    })?;
+    report.chase_stats = end.chase_stats;
+    report.search = Some(end.search);
+    if report.witness.is_some() {
+        report.exists = Some(true);
+    } else if end.stopped.is_some() {
+        report.undecided = end.stopped;
+    } else if end.exhausted {
+        report.exists = Some(false);
     }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -489,7 +440,7 @@ mod tests {
                 ..GovernorConfig::default()
             });
             let before = input.clone();
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
+            let r = decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
             assert_eq!(r.exists, None, "{:?} must be undecided", plan.kind);
             assert!(
                 matches!(r.undecided, Some(StopReason::DeadlineExceeded { .. })),
@@ -543,7 +494,7 @@ mod tests {
                 },
             );
             // No retry on another engine: the panic surfaces, contained.
-            match decide_governed(&p, &input, &plan, &governor) {
+            match decide_governed_scheduled(&p, &input, &plan, None, &governor) {
                 Err(SolveError::Engine(e)) => {
                     assert!(e.to_string().contains("injected panic"), "{e}");
                 }
@@ -563,7 +514,7 @@ mod tests {
                     ..FaultPlan::default()
                 },
             );
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
+            let r = decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
             assert_eq!(r.exists, None);
             assert!(r.witness.is_none());
             assert!(
@@ -585,7 +536,7 @@ mod tests {
                     ..FaultPlan::default()
                 },
             );
-            let r = decide_governed(&p, &input, &plan, &governor).unwrap();
+            let r = decide_governed_scheduled(&p, &input, &plan, None, &governor).unwrap();
             // Cancellation (even injected) is a genuine stop, not an
             // engine failure.
             assert_eq!(r.exists, None);

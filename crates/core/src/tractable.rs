@@ -92,21 +92,6 @@ pub struct TractableStats {
     pub chase_stats: pde_chase::ChaseStats,
 }
 
-impl TractableStats {
-    /// Export the run counters into a [`pde_trace::MetricsRegistry`] under
-    /// the `tractable.` prefix, plus the absorbed chase counters under
-    /// `chase.`.
-    pub fn export_metrics(&self, reg: &mut pde_trace::MetricsRegistry) {
-        let u = |x: usize| u64::try_from(x).unwrap_or(u64::MAX);
-        reg.set_max("tractable.jcan_facts", u(self.jcan_facts));
-        reg.set_max("tractable.ican_facts", u(self.ican_facts));
-        reg.set_max("tractable.block_count", u(self.block_count));
-        reg.set_max("tractable.max_block_nulls", u(self.max_block_nulls));
-        reg.add("tractable.chase_steps", u(self.chase_steps));
-        self.chase_stats.export_metrics(reg);
-    }
-}
-
 /// Outcome of `ExistsSolution`.
 #[derive(Clone, Debug)]
 pub struct TractableOutcome {
@@ -127,6 +112,8 @@ pub struct TractableOutcome {
 
 /// Run `ExistsSolution` after checking the setting is in `C_tract`
 /// (Theorem 4's hypothesis).
+// `pdebench` calls this by name; an options-value entry point replaces it
+// together with that caller.
 pub fn exists_solution(
     setting: &PdeSetting,
     input: &Instance,
@@ -135,8 +122,11 @@ pub fn exists_solution(
 }
 
 /// [`exists_solution`] under a runtime governor. A governor stop surfaces
-/// as [`TractableError::Stopped`] — never as a yes/no answer.
-pub fn exists_solution_governed(
+/// as [`TractableError::Stopped`] — never as a yes/no answer. The
+/// `C_tract` check stays on this path: it is what turns a plan that
+/// routes a non-`C_tract` setting here into an error instead of an answer
+/// Theorem 5 does not back.
+pub(crate) fn exists_solution_governed(
     setting: &PdeSetting,
     input: &Instance,
     governor: &Governor,
@@ -147,20 +137,19 @@ pub fn exists_solution_governed(
     if !setting.classification().ctract.in_ctract() {
         return Err(TractableError::NotInCtract);
     }
-    exists_solution_governed_unchecked(setting, input, governor)
-}
-
-/// Run the Fig. 3 algorithm without the `C_tract` membership check.
-///
-/// Correctness still requires condition 1 of `C_tract` (Theorem 5);
-/// polynomial running time requires condition 2 (Theorem 6). Callers that
-/// have verified a weaker sufficient condition themselves (e.g. full Σst
-/// only) can use this entry point directly. Σt must be empty regardless.
-pub fn exists_solution_unchecked(
-    setting: &PdeSetting,
-    input: &Instance,
-) -> Result<TractableOutcome, TractableError> {
-    exists_solution_governed_unchecked(setting, input, &Governor::unlimited())
+    if !input.is_ground() {
+        return Err(TractableError::InputNotGround);
+    }
+    // Step 1: (I, J_can) := chase of (I, J) with Σst.
+    let gen = null_gen_for(input);
+    let st_res = chase_tgds(input.clone(), setting.sigma_st(), &gen, governor);
+    if !st_res.is_success() {
+        return Err(chase_refusal(&st_res));
+    }
+    let mut out = exists_solution_from_chased(setting, input, &st_res.instance, governor)?;
+    out.stats.chase_steps += st_res.steps;
+    out.stats.chase_stats.absorb(st_res.stats);
+    Ok(out)
 }
 
 /// Map a non-success chase to the right refusal (governor stops stay
@@ -188,40 +177,16 @@ pub(crate) fn chase_tgds(
     chase(instance, &deps, WitnessMode::FreshNulls(gen), &opts)
 }
 
-/// [`exists_solution_unchecked`] under a runtime governor.
-pub fn exists_solution_governed_unchecked(
-    setting: &PdeSetting,
-    input: &Instance,
-    governor: &Governor,
-) -> Result<TractableOutcome, TractableError> {
-    if !setting.has_no_target_constraints() {
-        return Err(TractableError::HasTargetConstraints);
-    }
-    if !input.is_ground() {
-        return Err(TractableError::InputNotGround);
-    }
-    let mut stats = TractableStats::default();
-    let gen = null_gen_for(input);
-
-    // Step 1: (I, J_can) := chase of (I, J) with Σst.
-    let st_res = chase_tgds(input.clone(), setting.sigma_st(), &gen, governor);
-    if !st_res.is_success() {
-        return Err(chase_refusal(&st_res));
-    }
-    stats.chase_steps += st_res.steps;
-    stats.chase_stats.absorb(st_res.stats);
-    solve_from_chased(setting, input, &st_res.instance, stats, governor)
-}
-
 /// Steps 2–3 of `ExistsSolution` on a *precomputed* step-1 chase.
 ///
 /// `chased_st` must be the Σst-chase fixpoint of `input` (the combined
 /// `(I, J_can)` instance) — e.g. one maintained across inserts by an
 /// incremental [`chase`] (`ChaseOptions::since`), which is how `pde serve`
-/// answers `solve` requests without re-chasing from scratch. The same
-/// `C_tract` caveats as [`exists_solution_unchecked`] apply, and a stale
-/// or under-chased `chased_st` yields wrong answers — callers own that
-/// invariant.
+/// answers `solve` requests without re-chasing from scratch. There is no
+/// `C_tract` check here: correctness still requires condition 1 of
+/// `C_tract` (Theorem 5) and polynomial running time condition 2
+/// (Theorem 6). A stale or under-chased `chased_st` yields wrong answers —
+/// callers own both invariants.
 pub fn exists_solution_from_chased(
     setting: &PdeSetting,
     input: &Instance,
@@ -234,20 +199,10 @@ pub fn exists_solution_from_chased(
     if !input.is_ground() {
         return Err(TractableError::InputNotGround);
     }
-    let stats = TractableStats::default();
-    solve_from_chased(setting, input, chased_st, stats, governor)
-}
-
-/// Shared tail of the Fig. 3 algorithm: steps 2–3 plus the witness
-/// construction, given the step-1 chase `chased_st`.
-fn solve_from_chased(
-    setting: &PdeSetting,
-    input: &Instance,
-    chased_st: &Instance,
-    mut stats: TractableStats,
-    governor: &Governor,
-) -> Result<TractableOutcome, TractableError> {
-    stats.jcan_facts = chased_st.fact_count_of(Peer::Target);
+    let mut stats = TractableStats {
+        jcan_facts: chased_st.fact_count_of(Peer::Target),
+        ..TractableStats::default()
+    };
     // Seed above the chase's nulls, not just the input's: step 2 must not
     // collide with witnesses step 1 already invented.
     let gen = null_gen_for(chased_st);
@@ -439,7 +394,10 @@ mod tests {
         // The unchecked entry point runs (condition 1 holds for this
         // setting, so the answer is still correct — just not guaranteed
         // polynomial).
-        assert!(exists_solution_unchecked(&p, &input).is_ok());
+        let governor = Governor::unlimited();
+        let gen = null_gen_for(&input);
+        let chased = chase_tgds(input.clone(), p.sigma_st(), &gen, &governor).instance;
+        assert!(exists_solution_from_chased(&p, &input, &chased, &governor).is_ok());
     }
 
     #[test]

@@ -34,13 +34,15 @@
 //! are documented in `docs/OBSERVABILITY.md` at the repository root.
 
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod record;
 pub mod sink;
 
 pub use flight::FlightRecorder;
+pub use json::{json_escape, Json};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use record::{json_escape, FieldValue, SpanRecord};
+pub use record::{FieldValue, SpanRecord};
 pub use sink::{
     CollectingSink, FanoutSink, HistogramSink, JsonlSink, NoopSink, PhaseAgg, ProfileSink, Sink,
 };

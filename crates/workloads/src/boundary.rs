@@ -95,7 +95,7 @@ pub fn full_tgd_boundary_instance(setting: &PdeSetting, g: &Graph, k: u32) -> In
 mod tests {
     use super::*;
     use crate::graphs::has_k_clique;
-    use pde_core::{generic, GenericLimits};
+    use pde_core::decide;
 
     #[test]
     fn both_settings_are_in_ctract_shape_modulo_target_constraints() {
@@ -123,8 +123,8 @@ mod tests {
             (Graph::complete_bipartite(2, 2), 3),
         ] {
             let input = egd_boundary_instance(&p, &g, k);
-            let out = generic::solve(&p, &input, GenericLimits::default()).unwrap();
-            assert_eq!(out.decided(), Some(has_k_clique(&g, k)), "k={k}");
+            let out = decide(&p, &input).unwrap();
+            assert_eq!(out.exists, Some(has_k_clique(&g, k)), "k={k}");
         }
     }
 
@@ -133,8 +133,8 @@ mod tests {
         let p = full_tgd_boundary_setting();
         for (g, k) in [(Graph::complete(3), 3u32), (Graph::path(3), 3)] {
             let input = full_tgd_boundary_instance(&p, &g, k);
-            let out = generic::solve(&p, &input, GenericLimits::default()).unwrap();
-            assert_eq!(out.decided(), Some(has_k_clique(&g, k)), "k={k}");
+            let out = decide(&p, &input).unwrap();
+            assert_eq!(out.exists, Some(has_k_clique(&g, k)), "k={k}");
         }
     }
 }

@@ -145,7 +145,7 @@ pub fn elements_query(setting: &PdeSetting) -> ConjunctiveQuery {
 mod tests {
     use super::*;
     use crate::graphs::has_k_clique;
-    use pde_core::{assignment, certain_answers, GenericLimits};
+    use pde_core::{certain_answers, decide, GenericLimits};
 
     #[test]
     fn reduction_agrees_with_direct_clique_search() {
@@ -163,10 +163,10 @@ mod tests {
         ];
         for (g, k) in cases {
             let input = clique_instance(&p, &g, k);
-            let out = assignment::solve(&p, &input).unwrap();
+            let out = decide(&p, &input).unwrap();
             assert_eq!(
                 out.exists,
-                has_k_clique(&g, k),
+                Some(has_k_clique(&g, k)),
                 "n={} k={k}",
                 g.vertex_count()
             );
@@ -181,9 +181,10 @@ mod tests {
         let g = Graph::path(3);
         assert!(!has_k_clique(&g, 3));
         let input = clique_instance(&p, &g, 3);
-        let out = assignment::solve(&p, &input).unwrap();
-        assert!(
+        let out = decide(&p, &input).unwrap();
+        assert_eq!(
             out.exists,
+            Some(true),
             "the literal reduction accepts graphs without a k-clique"
         );
     }
@@ -222,7 +223,7 @@ mod tests {
         let p = clique_setting();
         let g = Graph::planted_clique(6, 0.1, 3, 2);
         let input = clique_instance(&p, &g, 3);
-        let out = assignment::solve(&p, &input).unwrap();
+        let out = decide(&p, &input).unwrap();
         let w = out.witness.expect("clique exists");
         // Read the assignment off the witness: P(elem_i, z, elem_j, w).
         let prel = p.schema().rel_id("P").unwrap();

@@ -50,7 +50,8 @@ pub fn full_unsolvable_instance(setting: &PdeSetting) -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pde_core::{assignment, tractable};
+    use crate::decide_by;
+    use pde_core::{tractable, GenericLimits, SolverKind};
 
     #[test]
     fn setting_is_in_ctract_via_full_st() {
@@ -83,8 +84,13 @@ mod tests {
             full_unsolvable_instance(&p),
         ] {
             let fast = tractable::exists_solution(&p, &input).unwrap().exists;
-            let slow = assignment::solve(&p, &input).unwrap().exists;
-            assert_eq!(fast, slow);
+            let slow = decide_by(
+                SolverKind::AssignmentSearch,
+                &p,
+                &input,
+                GenericLimits::default(),
+            );
+            assert_eq!(Some(fast), slow.exists);
         }
     }
 }

@@ -22,3 +22,21 @@ pub mod random;
 pub mod threecol;
 
 pub use graphs::{has_k_clique, is_three_colorable, k_coloring, Graph};
+
+/// Decide `setting` on `input` with the solver `kind`, whatever the
+/// setting's classification: the differential tests use it to run one
+/// complete search against another.
+pub fn decide_by(
+    kind: pde_core::SolverKind,
+    setting: &pde_core::PdeSetting,
+    input: &pde_relational::Instance,
+    limits: pde_core::GenericLimits,
+) -> pde_core::SolveReport {
+    let plan = pde_core::SolvePlan {
+        kind,
+        limits,
+        ..pde_core::SolvePlan::for_setting(setting)
+    };
+    let governor = pde_runtime::Governor::unlimited();
+    pde_core::decide_governed_scheduled(setting, input, &plan, None, &governor).unwrap()
+}

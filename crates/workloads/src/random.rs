@@ -199,7 +199,8 @@ pub fn random_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pde_core::{assignment, generic, solution::is_solution, tractable, GenericLimits};
+    use crate::decide_by;
+    use pde_core::{solution::is_solution, tractable, GenericLimits, SolverKind};
 
     #[test]
     fn random_settings_validate_and_are_deterministic() {
@@ -225,11 +226,15 @@ mod tests {
         for seed in 0..40u64 {
             let setting = random_setting(&params, seed).unwrap();
             let input = random_instance(&setting, 4, 2, 3, seed ^ 0xabcd);
-            let a = assignment::solve(&setting, &input).unwrap();
-            let g = generic::solve(&setting, &input, lim).unwrap();
-            if let Some(gd) = g.decided() {
+            let a = decide_by(SolverKind::AssignmentSearch, &setting, &input, lim);
+            let g = decide_by(SolverKind::GenericSearch, &setting, &input, lim);
+            assert!(
+                a.exists.is_some(),
+                "seed {seed}: the assignment search decides"
+            );
+            if let Some(gd) = g.exists {
                 decided += 1;
-                assert_eq!(a.exists, gd, "seed {seed}\n{setting:?}\n{input:?}");
+                assert_eq!(a.exists, Some(gd), "seed {seed}\n{setting:?}\n{input:?}");
             }
             if let Some(w) = a.witness {
                 assert!(is_solution(&setting, &input, &w), "seed {seed}");
@@ -250,9 +255,15 @@ mod tests {
             tractable_hits += 1;
             let input = random_instance(&setting, 4, 2, 3, seed ^ 0x1234);
             let fast = tractable::exists_solution(&setting, &input).unwrap();
-            let slow = assignment::solve(&setting, &input).unwrap();
+            let slow = decide_by(
+                SolverKind::AssignmentSearch,
+                &setting,
+                &input,
+                GenericLimits::default(),
+            );
             assert_eq!(
-                fast.exists, slow.exists,
+                Some(fast.exists),
+                slow.exists,
                 "seed {seed}\n{setting:?}\n{input:?}"
             );
             if let Some(w) = fast.witness {

@@ -59,7 +59,14 @@ pub fn threecol_instance(problem: &DisjunctiveProblem, g: &Graph) -> Instance {
 mod tests {
     use super::*;
     use crate::graphs::is_three_colorable;
-    use pde_core::assignment::solve_disjunctive;
+    use pde_core::assignment::{self, AssignmentError, AssignmentOutcome};
+
+    fn solve(
+        p: &DisjunctiveProblem,
+        input: &Instance,
+    ) -> Result<AssignmentOutcome, AssignmentError> {
+        assignment::solve(p, input, &pde_runtime::Governor::unlimited())
+    }
 
     #[test]
     fn reduction_agrees_with_direct_coloring() {
@@ -75,7 +82,7 @@ mod tests {
         ];
         for g in cases {
             let input = threecol_instance(&p, &g);
-            let out = solve_disjunctive(&p, &input).unwrap();
+            let out = solve(&p, &input).unwrap();
             assert_eq!(
                 out.exists,
                 is_three_colorable(&g),
@@ -91,7 +98,7 @@ mod tests {
         let p = threecol_problem();
         let g = Graph::cycle(5);
         let input = threecol_instance(&p, &g);
-        let out = solve_disjunctive(&p, &input).unwrap();
+        let out = solve(&p, &input).unwrap();
         let w = out.witness.expect("odd cycles are 3-colorable");
         let c = p.schema().rel_id("C").unwrap();
         let colors: std::collections::BTreeSet<String> = w
@@ -109,7 +116,7 @@ mod tests {
     fn k4_has_no_solution() {
         let p = threecol_problem();
         let input = threecol_instance(&p, &Graph::complete(4));
-        assert!(!solve_disjunctive(&p, &input).unwrap().exists);
+        assert!(!solve(&p, &input).unwrap().exists);
     }
 
     #[test]

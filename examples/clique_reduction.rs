@@ -10,7 +10,7 @@
 //! clique search, and shows the coNP-hard certain-answer variant with
 //! `q = ∃x P(x,x,x,x)`.
 
-use peer_data_exchange::core::assignment;
+use peer_data_exchange::core::assignment::{self, DisjunctiveProblem};
 use peer_data_exchange::prelude::*;
 use peer_data_exchange::workloads::clique::{
     certain_query, clique_instance, clique_instance_elements_from_v, clique_setting,
@@ -50,11 +50,12 @@ fn main() {
         "{:<28} {:>8} {:>8} {:>10} {:>12}",
         "graph", "direct", "PDE", "nodes", "time"
     );
+    let problem = DisjunctiveProblem::from_setting(&setting).expect("Σt = ∅");
     for (label, g, k) in cases {
         let direct = has_k_clique(&g, k);
         let input = clique_instance(&setting, &g, k);
         let t = Instant::now();
-        let out = assignment::solve(&setting, &input).expect("solver runs");
+        let out = assignment::solve(&problem, &input, &Governor::unlimited()).expect("solver runs");
         let elapsed = t.elapsed();
         assert_eq!(out.exists, direct, "reduction must agree with the baseline");
         println!(

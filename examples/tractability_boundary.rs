@@ -10,7 +10,7 @@
 //! (Σst/Σts tractable, Σt breaks it), and the disjunctive Σts setting
 //! (3-COLORABILITY).
 
-use peer_data_exchange::core::{assignment, generic};
+use peer_data_exchange::core::assignment::{self, DisjunctiveProblem};
 use peer_data_exchange::prelude::*;
 use peer_data_exchange::workloads::boundary::{
     egd_boundary_instance, egd_boundary_setting, full_tgd_boundary_instance,
@@ -54,10 +54,16 @@ fn main() {
     }
     let tri = clique_instance(&p, &Graph::complete(3), 3);
     let path = clique_instance(&p, &Graph::path(3), 3);
+    let problem = DisjunctiveProblem::from_setting(&p).unwrap();
+    let unlimited = Governor::unlimited();
     println!(
         "  K3/k=3 → {}   P3/k=3 → {}",
-        assignment::solve(&p, &tri).unwrap().exists,
-        assignment::solve(&p, &path).unwrap().exists
+        assignment::solve(&problem, &tri, &unlimited)
+            .unwrap()
+            .exists,
+        assignment::solve(&problem, &path, &unlimited)
+            .unwrap()
+            .exists
     );
 
     println!("\n== Crossing 2: one target egd is enough ==");
@@ -68,11 +74,10 @@ fn main() {
     );
     let tri = egd_boundary_instance(&p, &Graph::complete(3), 3);
     let path = egd_boundary_instance(&p, &Graph::path(3), 3);
-    let lim = GenericLimits::default();
     println!(
         "  K3/k=3 → {:?}   P3/k=3 → {:?}",
-        generic::solve(&p, &tri, lim).unwrap().decided(),
-        generic::solve(&p, &path, lim).unwrap().decided()
+        decide(&p, &tri).unwrap().exists,
+        decide(&p, &path).unwrap().exists
     );
 
     println!("\n== Crossing 3: one full target tgd is enough ==");
@@ -81,8 +86,8 @@ fn main() {
     let path = full_tgd_boundary_instance(&p, &Graph::path(3), 3);
     println!(
         "  K3/k=3 → {:?}   P3/k=3 → {:?}",
-        generic::solve(&p, &tri, lim).unwrap().decided(),
-        generic::solve(&p, &path, lim).unwrap().decided()
+        decide(&p, &tri).unwrap().exists,
+        decide(&p, &path).unwrap().exists
     );
 
     println!("\n== Crossing 4: disjunction in Σts (3-COLORABILITY) ==");
@@ -93,7 +98,7 @@ fn main() {
         ("Petersen-ish G(8,0.35)", Graph::gnp(8, 0.35, 4)),
     ] {
         let input = threecol_instance(&p3, &g);
-        let out = assignment::solve_disjunctive(&p3, &input).unwrap();
+        let out = assignment::solve(&p3, &input, &unlimited).unwrap();
         println!(
             "  {label:<24} 3-colorable: {:<5} PDE solution: {}",
             is_three_colorable(&g),

@@ -32,8 +32,8 @@
 //! `C_tract` witnesses, solver routing, budgets); `plan --check <cert>`
 //! re-verifies a saved certificate against the bundle with the
 //! independent checker. `solve` routes through the certificate-derived
-//! plan (`decide_with_plan`); pass `--plan <cert.json>` to reuse a saved
-//! certificate instead of planning afresh. `solve`, `certain`, and
+//! plan (`decide_governed_scheduled`); pass `--plan <cert.json>` to reuse
+//! a saved certificate instead of planning afresh. `solve`, `certain`, and
 //! `enumerate` take `--max-steps <n>` (search node / chase step cap) and
 //! `--max-branches <n>` (active-domain values tried per existential);
 //! exceeding a cap reports "undecided", never a wrong answer.
@@ -984,19 +984,15 @@ fn dispatch(
                 }
                 Some(false) => {
                     outln!("result:   no solution");
-                    // For the tractable path, explain the failure.
-                    if report.kind == pde_core::SolverKind::Tractable {
-                        if let Ok(out) = pde_core::exists_solution(&bundle.setting, &bundle.input) {
-                            if let Some(demand) = out.unsatisfiable_demand {
-                                outln!("unsatisfiable source demand:");
-                                for (rel, t) in demand {
-                                    outln!(
-                                        "  {}{}  (nulls match any value)",
-                                        bundle.setting.schema().name(rel),
-                                        t
-                                    );
-                                }
-                            }
+                    // The tractable path explains the failure.
+                    if let Some(demand) = report.unsatisfiable_demand {
+                        outln!("unsatisfiable source demand:");
+                        for (rel, t) in demand {
+                            outln!(
+                                "  {}{}  (nulls match any value)",
+                                bundle.setting.schema().name(rel),
+                                t
+                            );
                         }
                     }
                     Ok(Verdict::No)

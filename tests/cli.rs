@@ -72,6 +72,25 @@ fn solve_yes_and_no_exit_codes() {
 }
 
 #[test]
+fn solve_explains_a_tractable_no_with_its_unsatisfiable_demand() {
+    // Example 1 on the 2-path: Σts demands E(a, c) of the source, which
+    // I lacks.
+    let no = write_temp("nosol_explained.pde", EX1_NOSOL);
+    let out = run(&["solve", "--no-lint", no.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("solver:   ExistsSolution (C_tract)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("unsatisfiable source demand:"), "{stdout}");
+    assert!(
+        stdout.contains("  E(a, c)  (nulls match any value)"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn certain_boolean_query() {
     let p = write_temp("tri3.pde", EX1_TRIANGLE);
     let out = run(&["certain", p.to_str().unwrap(), "H(x, y), H(y, z)"]);
@@ -830,7 +849,7 @@ fn solve_memory_limit_is_undecided_with_reason() {
 }
 
 #[test]
-fn solve_governed_budget_admits_normal_runs() {
+fn governed_solve_budget_admits_normal_runs() {
     // --governed derives a memory budget from the plan certificate; a
     // well-behaved bundle must still decide under it, and --stats must
     // surface the governor counters.

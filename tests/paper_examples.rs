@@ -4,9 +4,8 @@
 //! correspondences, and the §3 contrast with plain data exchange.
 
 use peer_data_exchange::core::{
-    assignment, certain_answers, data_exchange, generic, multi::MultiPdeSetting,
-    multi::PeerConstraints, pdms::Pdms, solution::is_solution, tractable, GenericLimits,
-    PdeSetting, SolverKind,
+    assignment, certain_answers, multi::MultiPdeSetting, multi::PeerConstraints, pdms::Pdms,
+    solution::is_solution, tractable, GenericLimits, PdeSetting, SolverKind,
 };
 use peer_data_exchange::prelude::*;
 use peer_data_exchange::workloads::{boundary, clique, graphs, paper, threecol};
@@ -67,10 +66,11 @@ fn theorem3_reduction_sweep() {
         for (n, prob, k) in [(5u32, 0.4, 3u32), (6, 0.3, 3), (6, 0.5, 4)] {
             let g = graphs::Graph::gnp(n, prob, seed);
             let input = clique::clique_instance(&p, &g, k);
-            let out = assignment::solve(&p, &input).unwrap();
+            let out = decide(&p, &input).unwrap();
+            assert_eq!(out.kind, SolverKind::AssignmentSearch);
             assert_eq!(
                 out.exists,
-                graphs::has_k_clique(&g, k),
+                Some(graphs::has_k_clique(&g, k)),
                 "seed={seed} n={n} p={prob} k={k}"
             );
             if let Some(w) = out.witness {
@@ -94,11 +94,9 @@ fn data_exchange_contrast() {
     let pde = paper::example1_setting();
     for src in ["E(a, b). E(b, c).", "E(a, a).", "E(a, b)."] {
         let input_de = parse_instance(de.schema(), src).unwrap();
-        assert!(
-            data_exchange::solve_data_exchange(&de, &input_de)
-                .unwrap()
-                .exists
-        );
+        let r = decide(&de, &input_de).unwrap();
+        assert_eq!(r.kind, SolverKind::DataExchange);
+        assert_eq!(r.exists, Some(true));
     }
     // The same Σst with a Σts makes existence fail on the 2-path input.
     let input = parse_instance(pde.schema(), "E(a, b). E(b, c).").unwrap();
@@ -107,7 +105,6 @@ fn data_exchange_contrast() {
 
 #[test]
 fn boundary_settings_encode_clique() {
-    let lim = GenericLimits::default();
     let graphs_k: Vec<(graphs::Graph, u32)> = vec![
         (graphs::Graph::complete(3), 3),
         (graphs::Graph::path(3), 3),
@@ -118,15 +115,13 @@ fn boundary_settings_encode_clique() {
     for (g, k) in &graphs_k {
         let expect = graphs::has_k_clique(g, *k);
         let i1 = boundary::egd_boundary_instance(&egd, g, *k);
-        assert_eq!(
-            generic::solve(&egd, &i1, lim).unwrap().decided(),
-            Some(expect)
-        );
+        let r = decide(&egd, &i1).unwrap();
+        assert_eq!(r.kind, SolverKind::GenericSearch);
+        assert_eq!(r.exists, Some(expect));
         let i2 = boundary::full_tgd_boundary_instance(&ftgd, g, *k);
-        assert_eq!(
-            generic::solve(&ftgd, &i2, lim).unwrap().decided(),
-            Some(expect)
-        );
+        let r = decide(&ftgd, &i2).unwrap();
+        assert_eq!(r.kind, SolverKind::GenericSearch);
+        assert_eq!(r.exists, Some(expect));
     }
 }
 
@@ -140,7 +135,7 @@ fn disjunctive_boundary_encodes_three_colorability() {
         graphs::Graph::gnp(7, 0.4, 13),
     ] {
         let input = threecol::threecol_instance(&p, &g);
-        let out = assignment::solve_disjunctive(&p, &input).unwrap();
+        let out = assignment::solve(&p, &input, &Governor::unlimited()).unwrap();
         assert_eq!(out.exists, graphs::is_three_colorable(&g));
     }
 }

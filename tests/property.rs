@@ -26,6 +26,12 @@ use peer_data_exchange::workloads::{clique, graphs, paper, threecol};
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 
+/// The complete null-assignment search on a setting with Σt = ∅.
+fn assignment_search(p: &PdeSetting, input: &Instance) -> assignment::AssignmentOutcome {
+    let problem = assignment::DisjunctiveProblem::from_setting(p).unwrap();
+    assignment::solve(&problem, input, &Governor::unlimited()).unwrap()
+}
+
 /// The signature the chase and its naive oracle share.
 type Engine = fn(Instance, &[Dependency], WitnessMode<'_>, &ChaseOptions<'_>) -> ChaseResult;
 
@@ -111,7 +117,7 @@ proptest! {
         // Build a known solution first (if one exists), then chase with it.
         let p = paper::exact_view_setting();
         let input = edges_to_instance(&p, "E", &edges);
-        let out = assignment::solve(&p, &input).unwrap();
+        let out = assignment_search(&p, &input);
         if let Some(solution) = out.witness {
             let deps: Vec<Dependency> = p
                 .sigma_st()
@@ -189,7 +195,7 @@ proptest! {
         let k = 3;
         let p = clique::clique_setting();
         let input = clique::clique_instance(&p, &g, k);
-        let out = assignment::solve(&p, &input).unwrap();
+        let out = assignment_search(&p, &input);
         prop_assert_eq!(out.exists, graphs::has_k_clique(&g, k));
     }
 
@@ -198,7 +204,7 @@ proptest! {
         let g = pairs_to_graph(5, &pairs);
         let p = threecol::threecol_problem();
         let input = threecol::threecol_instance(&p, &g);
-        let out = assignment::solve_disjunctive(&p, &input).unwrap();
+        let out = assignment::solve(&p, &input, &Governor::unlimited()).unwrap();
         prop_assert_eq!(out.exists, graphs::is_three_colorable(&g));
     }
 
@@ -209,7 +215,7 @@ proptest! {
         for p in [paper::example1_setting(), paper::exact_view_setting()] {
             let input = edges_to_instance(&p, "E", &edges);
             let fast = tractable::exists_solution(&p, &input).unwrap();
-            let slow = assignment::solve(&p, &input).unwrap();
+            let slow = assignment_search(&p, &input);
             prop_assert_eq!(fast.exists, slow.exists);
             if let Some(w) = fast.witness {
                 prop_assert!(is_solution(&p, &input, &w));
@@ -232,7 +238,7 @@ proptest! {
             // Re-enumerate and verify each certain answer in each solution.
             let problem =
                 assignment::DisjunctiveProblem::from_setting(&p).unwrap();
-            assignment::for_each_solution(&problem, &input, |sol| {
+            assignment::for_each_solution(&problem, &input, &Governor::unlimited(), |sol| {
                 for ans in &out.answers {
                     assert!(
                         q.contains_answer(sol, ans),
@@ -571,7 +577,7 @@ proptest! {
     fn shrink_solution_yields_contained_solutions(edges in arb_edge_instance(4, 6)) {
         let p = paper::example1_setting();
         let input = edges_to_instance(&p, "E", &edges);
-        if let Some(w) = assignment::solve(&p, &input).unwrap().witness {
+        if let Some(w) = assignment_search(&p, &input).witness {
             let small = pde_core::shrink_solution(&p, &input, &w).unwrap();
             prop_assert!(small.contained_in(&w));
             prop_assert!(is_solution(&p, &input, &small));
@@ -582,7 +588,7 @@ proptest! {
     fn core_of_solution_is_solution(edges in arb_edge_instance(4, 6)) {
         let p = paper::exact_view_setting();
         let input = edges_to_instance(&p, "E", &edges);
-        if let Some(w) = assignment::solve(&p, &input).unwrap().witness {
+        if let Some(w) = assignment_search(&p, &input).witness {
             let cored = pde_core::core_solution(&p, &input, &w).unwrap();
             prop_assert!(is_solution(&p, &input, &cored));
             prop_assert!(cored.fact_count() <= w.fact_count());
@@ -736,7 +742,7 @@ proptest! {
         // optimized setting under its stratified schedule gives the same
         // yes/no answer as solving the original unscheduled, and both
         // agree with the naive oracle's chase (which ignores schedules).
-        use peer_data_exchange::core::data_exchange::solve_data_exchange_governed_scheduled;
+        use peer_data_exchange::core::data_exchange::solve_data_exchange;
         use peer_data_exchange::workloads::random::{
             random_instance, random_weakly_acyclic_setting, RandomSettingParams,
         };
@@ -753,12 +759,12 @@ proptest! {
         prop_assert!(pde_analysis::verify_rewrite(&setting, &input, &opt.certificate).is_ok());
         let schedule = pde_analysis::forward_schedule(&opt.optimized);
         let gov = Governor::unlimited();
-        let base = solve_data_exchange_governed_scheduled(
-            &setting, &input, ChaseLimits::default(), &gov, None,
+        let base = solve_data_exchange(
+            &setting, &input, ChaseLimits::default(), None, &gov,
         )
         .unwrap();
-        let rewritten = solve_data_exchange_governed_scheduled(
-            &opt.optimized, &input, ChaseLimits::default(), &gov, Some(&schedule),
+        let rewritten = solve_data_exchange(
+            &opt.optimized, &input, ChaseLimits::default(), Some(&schedule), &gov,
         )
         .unwrap();
         let mut answers = vec![base.exists, rewritten.exists];
@@ -791,8 +797,8 @@ proptest! {
         let input = random_instance(&setting, 4, 0, 3, seed ^ 0xd1ce);
         let opt = pde_analysis::optimize_setting(&setting, &input);
         prop_assert!(pde_analysis::verify_rewrite(&setting, &input, &opt.certificate).is_ok());
-        let base = assignment::solve(&setting, &input).unwrap();
-        let rewritten = assignment::solve(&opt.optimized, &input).unwrap();
+        let base = assignment_search(&setting, &input);
+        let rewritten = assignment_search(&opt.optimized, &input);
         prop_assert_eq!(base.exists, rewritten.exists, "assignment search disagrees");
         // Certain answers over the first target relation.
         let schema = setting.schema();

@@ -4,13 +4,12 @@
 //! This is the strongest correctness net in the suite: the tractable
 //! algorithm (Fig. 3), the assignment search, and the generic
 //! witness-chase search are three very different implementations of the
-//! same semantics.
+//! same semantics. Each search is forced by the plan's solver kind, so
+//! the comparisons hold whatever the setting's classification would pick.
 
-use peer_data_exchange::core::{
-    assignment, data_exchange, generic, solution::is_solution, tractable, GenericLimits, PdeSetting,
-};
+use peer_data_exchange::core::{solution::is_solution, tractable, PdeSetting};
 use peer_data_exchange::prelude::*;
-use peer_data_exchange::workloads::{graphs::Graph, lav, paper};
+use peer_data_exchange::workloads::{decide_by, graphs::Graph, lav, paper};
 
 /// All ground instances over `E/2` with vertices from `vals`, up to
 /// `max_edges` edges, enumerated deterministically.
@@ -40,35 +39,37 @@ fn edge_instances(setting: &PdeSetting, vals: &[&str], max_edges: usize) -> Vec<
 
 #[test]
 fn tractable_vs_assignment_vs_generic_on_example1() {
-    let p = paper::example1_setting();
     let lim = GenericLimits::default();
+    let p = paper::example1_setting();
     for input in edge_instances(&p, &["a", "b"], 4) {
         let fast = tractable::exists_solution(&p, &input).unwrap().exists;
-        let assigned = assignment::solve(&p, &input).unwrap();
-        let searched = generic::solve(&p, &input, lim).unwrap();
-        assert_eq!(fast, assigned.exists, "{input:?}");
-        assert_eq!(Some(fast), searched.decided(), "{input:?}");
+        let assigned = decide_by(SolverKind::AssignmentSearch, &p, &input, lim);
+        let searched = decide_by(SolverKind::GenericSearch, &p, &input, lim);
+        assert_eq!(Some(fast), assigned.exists, "{input:?}");
+        assert_eq!(Some(fast), searched.exists, "{input:?}");
         if let Some(w) = assigned.witness {
             assert!(is_solution(&p, &input, &w), "{input:?}");
         }
-        if let Some(w) = searched.witness() {
-            assert!(is_solution(&p, &input, w), "{input:?}");
+        if let Some(w) = searched.witness {
+            assert!(is_solution(&p, &input, &w), "{input:?}");
         }
     }
 }
 
 #[test]
 fn tractable_vs_assignment_on_exact_views() {
+    let lim = GenericLimits::default();
     let p = paper::exact_view_setting();
     for input in edge_instances(&p, &["a", "b"], 4) {
         let fast = tractable::exists_solution(&p, &input).unwrap().exists;
-        let slow = assignment::solve(&p, &input).unwrap().exists;
-        assert_eq!(fast, slow, "{input:?}");
+        let slow = decide_by(SolverKind::AssignmentSearch, &p, &input, lim).exists;
+        assert_eq!(Some(fast), slow, "{input:?}");
     }
 }
 
 #[test]
 fn tractable_vs_assignment_on_marked_example() {
+    let lim = GenericLimits::default();
     let p = paper::marked_example_setting();
     // All instances over S/2 with values {a, b}.
     let vals = ["a", "b"];
@@ -87,30 +88,32 @@ fn tractable_vs_assignment_on_marked_example() {
         }
         let input = parse_instance(p.schema(), &src).unwrap();
         let fast = tractable::exists_solution(&p, &input).unwrap().exists;
-        let slow = assignment::solve(&p, &input).unwrap().exists;
-        assert_eq!(fast, slow, "{src}");
+        let slow = decide_by(SolverKind::AssignmentSearch, &p, &input, lim).exists;
+        assert_eq!(Some(fast), slow, "{src}");
     }
 }
 
 #[test]
 fn assignment_vs_generic_on_clique_setting() {
+    let lim = GenericLimits::default();
     // The clique setting has Σt = ∅, so both complete solvers apply.
     let p = peer_data_exchange::workloads::clique::clique_setting();
-    let lim = GenericLimits::default();
     for (g, k) in [
         (Graph::complete(3), 3u32),
         (Graph::path(3), 3),
         (Graph::cycle(4), 2),
     ] {
         let input = peer_data_exchange::workloads::clique::clique_instance(&p, &g, k);
-        let a = assignment::solve(&p, &input).unwrap().exists;
-        let b = generic::solve(&p, &input, lim).unwrap().decided();
-        assert_eq!(Some(a), b, "k={k}");
+        let a = decide_by(SolverKind::AssignmentSearch, &p, &input, lim).exists;
+        let b = decide_by(SolverKind::GenericSearch, &p, &input, lim).exists;
+        assert!(a.is_some(), "k={k}");
+        assert_eq!(a, b, "k={k}");
     }
 }
 
 #[test]
 fn data_exchange_vs_generic_on_sigma_ts_empty() {
+    let lim = GenericLimits::default();
     let p = PdeSetting::parse(
         "source E/2; target H/2;",
         "E(x, y) -> exists z . H(x, z)",
@@ -118,7 +121,6 @@ fn data_exchange_vs_generic_on_sigma_ts_empty() {
         "H(x, y), H(x, z) -> y = z",
     )
     .unwrap();
-    let lim = GenericLimits::default();
     for src in [
         "E(a, b).",
         "E(a, b). E(a, c).",
@@ -127,18 +129,17 @@ fn data_exchange_vs_generic_on_sigma_ts_empty() {
         "",
     ] {
         let input = parse_instance(p.schema(), src).unwrap();
-        let de = data_exchange::solve_data_exchange(&p, &input)
-            .unwrap()
-            .exists;
-        let gen = generic::solve(&p, &input, lim).unwrap().decided();
-        assert_eq!(Some(de), gen, "{src}");
+        let de = decide_by(SolverKind::DataExchange, &p, &input, lim).exists;
+        let gen = decide_by(SolverKind::GenericSearch, &p, &input, lim).exists;
+        assert!(de.is_some(), "{src}");
+        assert_eq!(de, gen, "{src}");
     }
 }
 
 #[test]
 fn lav_workload_solver_triangle() {
-    let p = lav::lav_setting();
     let lim = GenericLimits::default();
+    let p = lav::lav_setting();
     for input in [
         lav::lav_solvable_instance(&p, 1, 3),
         lav::lav_unsolvable_instance(&p, 2, 2),
@@ -146,9 +147,9 @@ fn lav_workload_solver_triangle() {
         lav::lav_graph_instance(&p, &Graph::cycle(3), false),
     ] {
         let fast = tractable::exists_solution(&p, &input).unwrap().exists;
-        let assigned = assignment::solve(&p, &input).unwrap().exists;
-        let searched = generic::solve(&p, &input, lim).unwrap().decided();
-        assert_eq!(fast, assigned);
+        let assigned = decide_by(SolverKind::AssignmentSearch, &p, &input, lim).exists;
+        let searched = decide_by(SolverKind::GenericSearch, &p, &input, lim).exists;
+        assert_eq!(Some(fast), assigned);
         assert_eq!(Some(fast), searched);
     }
 }
